@@ -6,7 +6,8 @@ routes already use ``memcpy*async``, the natural follow-up is to stream
 frames: overlap frame *t+1*'s upload with frame *t*'s kernels on Fermi's
 separate copy engines.
 
-This example schedules the compiled SaC programs across engines for a
+This example schedules the compiled SaC programs with the runtime's
+scheduler (:func:`repro.runtime.build_schedule`) across engines for a
 window of frames and prints the resulting Gantt charts:
 
 * non-generic (fully fused by WLF): the transfers vanish behind the
@@ -19,8 +20,9 @@ Run:  python examples/streaming_overlap.py
 
 from repro.apps.downscaler import GENERIC, HD, NONGENERIC, downscaler_program_source
 from repro.apps.downscaler.video import synthetic_frame
-from repro.gpu import CostModel, GPUExecutor, GTX480_CALIBRATED, overlapped_makespan
+from repro.gpu import CostModel, GPUExecutor, GTX480_CALIBRATED
 from repro.report.gantt import render_gantt
+from repro.runtime import build_schedule
 from repro.sac.backend import CompileOptions, compile_function
 from repro.sac.parser import parse
 
@@ -37,9 +39,12 @@ def main() -> None:
         executor = GPUExecutor(CostModel(GTX480_CALIBRATED))
         executor.run(compiled.program, {"frame": frame})  # warm the probes
 
-        result = overlapped_makespan(compiled.program, executor, frames=FRAMES)
+        # one buffer slot per frame: the pure what-if overlap
+        schedule = build_schedule(
+            compiled.program, executor, runs=FRAMES, depth=None
+        )
         print(f"=== {variant} variant, {FRAMES} frames ===")
-        print(render_gantt(result))
+        print(render_gantt(schedule))
         print()
 
 

@@ -1,7 +1,8 @@
 """Hazard/race detection over device programs.
 
 Builds a **happens-before graph** over a program's operations under the
-asynchronous execution model of :func:`repro.gpu.stream.overlapped_makespan`:
+asynchronous execution model of
+:func:`repro.runtime.schedule.build_schedule`:
 
 * three engines (H2D copy, compute, D2H copy) execute in FIFO order;
 * a kernel launch additionally waits for the last *writer* of every buffer

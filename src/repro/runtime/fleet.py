@@ -24,9 +24,10 @@ users" target needs many.  This module generalises the runtime to a
   :class:`~repro.gpu.cost.CostModel`, and materialised as real transfer
   nodes in the schedule.
 
-Everything here is pure placement state; the timing consequences are
-computed by :func:`repro.runtime.schedule.build_schedule` when given a
-topology.
+Everything here is pure placement state and naming (a fleet of one keeps
+the bare single-device engine and slot names); the timing consequences
+are computed by :func:`repro.runtime.schedule.build_schedule`, which
+schedules a single device as a fleet of one.
 """
 
 from __future__ import annotations
@@ -123,11 +124,6 @@ class FleetDevice:
     def memory(self):
         return self.executor.memory
 
-    def engine(self, kind: str) -> str:
-        if kind not in ENGINE_KINDS:
-            raise ReproError(f"unknown engine kind {kind!r}")
-        return f"{self.name}:{kind}"
-
 
 class DeviceTopology:
     """K modelled devices behind one host, sharing the PCIe staging path."""
@@ -182,17 +178,37 @@ class DeviceTopology:
         """Host driver lanes: one per device, bounded by the host's cores."""
         return min(len(self.devices), self.host.cores)
 
-    def host_lane(self, k: int) -> str:
-        """The host engine serving device ``k``'s stream (lanes wrap when
-        K exceeds the host's core count)."""
-        return f"hl{k % self.host_lanes}:host"
+    def engine(self, k: int, kind: str) -> str:
+        """Name of device ``k``'s ``kind`` engine: ``d{k}:h2d`` etc., and
+        for ``"host"`` the host lane serving device ``k``'s stream
+        (``hl{l}:host``; lanes wrap when K exceeds the host's core count).
+
+        A fleet of one keeps the bare single-device names ``h2d`` /
+        ``compute`` / ``d2h`` / ``host``, so single-device reports and
+        traces read the same whether or not a topology was given.
+        """
+        if kind not in ENGINE_KINDS:
+            raise ReproError(f"unknown engine kind {kind!r}")
+        if len(self.devices) == 1:
+            return kind
+        if kind == "host":
+            return f"hl{k % self.host_lanes}:host"
+        return f"d{k}:{kind}"
+
+    def slot(self, k: int, buffer: str, slot: int) -> str:
+        """Resource name of physical slot ``slot`` of device ``k``'s
+        ``buffer`` (bare ``buffer@s{slot}`` on a fleet of one)."""
+        name = f"{buffer}@s{slot}"
+        return name if len(self.devices) == 1 else f"d{k}/{name}"
 
     def engines(self) -> tuple[str, ...]:
         """Every engine of the fleet in track order (device-major)."""
-        names = []
-        for d in self.devices:
-            names.extend(d.engine(kind) for kind in ("h2d", "compute", "d2h"))
-        names.extend(f"hl{lane}:host" for lane in range(self.host_lanes))
+        names = [
+            self.engine(k, kind)
+            for k in range(len(self.devices))
+            for kind in ("h2d", "compute", "d2h")
+        ]
+        names.extend(self.engine(lane, "host") for lane in range(self.host_lanes))
         return tuple(names)
 
     def migration_us(self, nbytes: int) -> tuple[float, float]:

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.gpu.calibration import GTX480_CALIBRATED
-from repro.gpu.cost import CostModel, CostParams
+from repro.gpu.cost import CostParams
 from repro.gpu.executor import GPUExecutor
 from repro.ir.program import AllocDevice, DeviceProgram, DeviceToHost, HostToDevice
 from repro.obs.span import Tracer, current_tracer, use_tracer
@@ -152,28 +152,22 @@ class FramePipeline:
             raise ValueError(f"validate must be first/all/none, not {validate!r}")
         if devices < 1:
             raise ValueError("devices must be >= 1")
-        if topology is not None:
-            self.topology = topology
-        elif devices > 1:
-            self.topology = DeviceTopology.build(devices, params)
-        else:
-            self.topology = None
-        if self.topology is not None:
-            if cache is not None:
-                raise ValueError(
-                    "a fleet pipeline compiles through per-device caches; "
-                    "an external cache cannot be shared across devices"
-                )
-            # device 0 fronts the fleet for single-executor consumers
-            self.executor = self.topology.device(0).executor
-            self.cache = self.topology.device(0).cache
-            self.placement_policy = make_placement(
-                placement, len(self.topology)
+        if cache is not None and (topology is not None or devices > 1):
+            raise ValueError(
+                "a fleet pipeline compiles through per-device caches; "
+                "an external cache cannot be shared across devices"
             )
-        else:
-            self.executor = GPUExecutor(CostModel(params))
-            self.cache = cache if cache is not None else CompileCache()
-            self.placement_policy = None
+        if topology is None:
+            # a single device is a fleet of one, compiling through the
+            # caller's cache when one is given
+            topology = DeviceTopology.build(devices, params)
+            if cache is not None:
+                topology.device(0).cache = cache
+        self.topology = topology
+        # device 0 fronts the fleet for single-executor consumers
+        self.executor = topology.device(0).executor
+        self.cache = topology.device(0).cache
+        self.placement_policy = make_placement(placement, len(topology))
         self.depth = depth
         self.serialize = serialize
         self.validate = validate
@@ -183,15 +177,14 @@ class FramePipeline:
 
     @property
     def devices(self) -> int:
-        return 1 if self.topology is None else len(self.topology)
+        return len(self.topology)
 
     def _validate(self, job: PipelineJob, program: DeviceProgram, frame: int,
-                  instance: int, executor: GPUExecutor | None = None) -> bool:
+                  instance: int, executor: GPUExecutor) -> bool:
         expected = job.golden(frame, instance, program)
         if expected is None:
             return False
-        runner = executor if executor is not None else self.executor
-        result = runner.run(program, job.env(frame, instance))
+        result = executor.run(program, job.env(frame, instance))
         for name, want in expected.items():
             got = result.outputs.get(name)
             if got is None or not np.array_equal(got, want):
@@ -202,8 +195,21 @@ class FramePipeline:
                 )
         return True
 
+    @staticmethod
+    def _ticket_key(job: PipelineJob):
+        """Compile-cache identity of a job's frames for placement."""
+        size = getattr(getattr(job, "size", None), "name", "")
+        return (job.name, size)
+
     def run(self, job: PipelineJob, frames: int) -> PipelineReport:
         """Serve ``frames`` frames of ``job``; returns the metrics report.
+
+        Frames are sharded over the device topology (one device unless
+        the pipeline was built with more).  Stage order matters: frames
+        are *placed* before they are compiled, because the placed
+        device's compile cache is what the frame compiles through — the
+        per-device miss pattern is exactly what the cache-affinity policy
+        optimises.
 
         When a :class:`~repro.obs.span.Tracer` was passed to the
         constructor it is installed as the ambient tracer for the whole
@@ -212,11 +218,6 @@ class FramePipeline:
         tree.  Tracing never perturbs the report: all durations are
         modelled, not measured.
         """
-        tracer = self.tracer if self.tracer is not None else current_tracer()
-        with use_tracer(tracer):
-            return self._run(job, frames, tracer)
-
-    def _run(self, job: PipelineJob, frames: int, tracer: Tracer) -> PipelineReport:
         if frames < 0:
             raise ValueError("frames must be >= 0")
         if frames == 0:
@@ -231,95 +232,19 @@ class FramePipeline:
                 transfer_share_serial=0.0, cache=CacheStats(),
                 validated_instances=0, devices=self.devices,
             )
-        if self.topology is not None:
-            return self._run_fleet(job, frames, tracer)
-        before = self.cache.stats.snapshot()
-
-        with tracer.span(
-            f"pipeline:{job.name}", category="pipeline", frames=frames
-        ) as pipe_span:
-            # compile stage: once per frame through the cache (a real server
-            # compiles on frame arrival; the cache makes every frame after
-            # the first a hit)
-            with tracer.span("compile-stage", category="pipeline-stage") as sp:
-                program = None
-                for f in range(frames):
-                    program = job.compile(self.cache)
-                cache_delta = self.cache.stats.since(before)
-                sp.set(hits=cache_delta.hits, misses=cache_delta.misses)
-
-            # functional stage: bit-exact validation against the job's golden
-            with tracer.span("validate-stage", category="pipeline-stage") as sp:
-                validated = 0
-                if self.validate == "first":
-                    validated += int(self._validate(job, program, 0, 0))
-                elif self.validate == "all":
-                    for f in range(frames):
-                        for i in range(job.instances_per_frame):
-                            validated += int(self._validate(job, program, f, i))
-                sp.set(validated=validated)
-
-            # temporal stage: schedule every run across the three engines
-            with tracer.span("schedule-stage", category="pipeline-stage"):
-                runs = frames * job.instances_per_frame
-                schedule = build_schedule(
-                    program, self.executor, runs=runs, depth=self.depth,
-                    serialize=self.serialize,
-                )
-            pipe_span.set(program=program.name, runs=runs)
-        latencies = schedule.latencies_us(batch=job.instances_per_frame)
-        makespan = schedule.makespan_us
-        busy = {e: schedule.engine_busy_us(e) for e in schedule.engines}
-        transfer_serial = self._transfer_serial_us(program, runs)
-
-        return PipelineReport(
-            job=job.name,
-            program=program.name,
-            frames=frames,
-            instances=runs,
-            depth=schedule.depth,
-            serialize=self.serialize,
-            serial_us=schedule.serial_us,
-            overlapped_us=makespan,
-            frames_per_second=frames / (makespan / 1e6) if makespan else 0.0,
-            latency_p50_us=float(np.percentile(latencies, 50)) if latencies else 0.0,
-            latency_p95_us=float(np.percentile(latencies, 95)) if latencies else 0.0,
-            engine_busy_us=busy,
-            engine_occupancy=schedule.engine_occupancy(),
-            transfer_share_serial=(
-                transfer_serial / schedule.serial_us if schedule.serial_us else 0.0
-            ),
-            cache=cache_delta,
-            validated_instances=validated,
-            schedule=schedule,
-        )
-
-    @staticmethod
-    def _ticket_key(job: PipelineJob):
-        """Compile-cache identity of a job's frames for placement."""
-        size = getattr(getattr(job, "size", None), "name", "")
-        return (job.name, size)
-
-    def _run_fleet(
-        self, job: PipelineJob, frames: int, tracer: Tracer
-    ) -> PipelineReport:
-        """Shard the frame stream over the device topology.
-
-        Stage order matters: frames are *placed* before they are
-        compiled, because the placed device's compile cache is what the
-        frame compiles through — the per-device miss pattern is exactly
-        what the cache-affinity policy optimises.
-        """
+        tracer = self.tracer if self.tracer is not None else current_tracer()
         topo = self.topology
         policy = self.placement_policy
         policy.new_batch()
-        # a batch boundary also re-bases every device's memory counters,
-        # so fleet peak-bytes/occupancy numbers never bleed across runs
-        topo.reset_stats()
+        if len(topo) > 1:
+            # a fleet batch boundary also re-bases every device's memory
+            # counters, so per-device peak bytes never bleed across runs;
+            # a single device keeps its cumulative allocator counters
+            topo.reset_stats()
         before = [d.cache.stats.snapshot() for d in topo]
         ipf = job.instances_per_frame
 
-        with tracer.span(
+        with use_tracer(tracer), tracer.span(
             f"pipeline:{job.name}", category="pipeline", frames=frames,
             devices=len(topo),
         ) as pipe_span:
@@ -332,8 +257,10 @@ class FramePipeline:
                 sp.set(policy=policy.name, devices=len(topo))
 
             # compile stage: once per frame through its placed device's
-            # cache (device code is per-context: a fleet of K cold
-            # devices pays up to K misses where one device pays one)
+            # cache (a real server compiles on frame arrival; the cache
+            # makes every frame after the first a hit, and since device
+            # code is per-context a fleet of K cold devices pays up to K
+            # misses where one device pays one)
             with tracer.span("compile-stage", category="pipeline-stage") as sp:
                 program = None
                 for dec in decisions:
@@ -348,25 +275,26 @@ class FramePipeline:
                 )
                 sp.set(hits=cache_delta.hits, misses=cache_delta.misses)
 
-            # functional stage: validate on the executor of the device
-            # the frame was placed on — bit-exactness must hold wherever
-            # the placement sent the frame
+            # functional stage: bit-exact validation against the job's
+            # golden, on the executor of the device the frame was placed
+            # on — bit-exactness must hold wherever placement sent it
             with tracer.span("validate-stage", category="pipeline-stage") as sp:
                 validated = 0
                 if self.validate == "first":
                     validated += int(self._validate(
                         job, program, 0, 0,
-                        executor=topo.device(decisions[0].device).executor,
+                        topo.device(decisions[0].device).executor,
                     ))
                 elif self.validate == "all":
                     for f, dec in enumerate(decisions):
                         executor = topo.device(dec.device).executor
                         for i in range(ipf):
                             validated += int(self._validate(
-                                job, program, f, i, executor=executor,
+                                job, program, f, i, executor,
                             ))
                 sp.set(validated=validated)
 
+            # temporal stage: schedule every run across the engines
             with tracer.span("schedule-stage", category="pipeline-stage"):
                 runs = frames * ipf
                 schedule = build_schedule(
@@ -384,20 +312,22 @@ class FramePipeline:
 
         latencies = schedule.latencies_us(batch=ipf)
         makespan = schedule.makespan_us
-        engines = topo.engines()
+        # a fleet reports every engine (an idle device still shows up); a
+        # single device reports the engines its schedule used
+        engines = topo.engines() if len(topo) > 1 else schedule.engines
         occupancy = schedule.engine_occupancy(engines=engines)
         per_device: dict[str, dict] = {}
         for k, d in enumerate(topo):
-            kinds = {
-                kind: schedule.engine_busy_us(d.engine(kind))
-                for kind in ("h2d", "compute", "d2h")
-            }
+            kinds = ("h2d", "compute", "d2h")
             per_device[d.name] = {
                 "frames": sum(1 for dec in decisions if dec.device == k),
-                "busy_us": {k2: round(v, 3) for k2, v in kinds.items()},
+                "busy_us": {
+                    kind: round(schedule.engine_busy_us(topo.engine(k, kind)), 3)
+                    for kind in kinds
+                },
                 "occupancy": {
-                    kind: round(occupancy[d.engine(kind)], 4)
-                    for kind in ("h2d", "compute", "d2h")
+                    kind: round(occupancy.get(topo.engine(k, kind), 0.0), 4)
+                    for kind in kinds
                 },
                 "peak_bytes": d.memory.peak_bytes,
                 "cache": deltas[k].as_dict(),

@@ -1,14 +1,16 @@
-"""The three-engine pipeline scheduler: the runtime's timing core.
+"""The three-engine pipeline scheduler: the runtime's only timing engine.
 
-Generalises :func:`repro.gpu.stream.overlapped_makespan` — the what-if
-analysis of the paper's serialised ``memcpy*async`` calls — into the
-scheduling engine the runtime actually executes on:
+It answers the what-if question of the paper's serialised
+``memcpy*async`` calls (what if the transfers really overlapped the
+kernels?) and is the scheduling engine the runtime executes on:
 
 * **three device engines** (H2D copy, compute, D2H copy — Fermi's dual
   copy engines plus the SMs) each process their operations in FIFO order;
-* **true data dependences**: a kernel waits for the writers of every
-  buffer it reads, a download waits for the writer of its buffer, a host
-  step waits for the downloads it consumes and blocks subsequent issue;
+* **true data dependences**, region-precise: a kernel waits for the
+  writers of every buffer region it reads, a download waits for the
+  writer of its region, a host step waits for the downloads it consumes
+  and blocks subsequent issue; accesses to provably disjoint boxes of a
+  resource (:mod:`repro.analysis.regions`) need no ordering;
 * **bounded double-buffering**: device buffers are backed by ``depth``
   physical slots recycled round-robin across program runs, so a write
   into a recycled slot additionally waits for every reader of the slot's
@@ -17,11 +19,12 @@ scheduling engine the runtime actually executes on:
   :mod:`repro.runtime.unroll`);
 * a **serialise knob**: with ``serialize=True`` every operation waits for
   the previous one, reproducing the paper's measured behaviour (the
-  ablation baseline the overlapped numbers are reported against).
+  ablation baseline the overlapped numbers are reported against);
+* a **device fleet** (:mod:`repro.runtime.fleet`): runs shard over K
+  devices sharing the host; a single device is a fleet of one.
 
-With ``depth >= runs`` no slot is ever recycled and a schedule's makespan
-coincides with :func:`~repro.gpu.stream.overlapped_makespan` on the same
-program (asserted by the tier-1 tests).
+With ``depth=None`` (one slot per run) no slot is ever recycled: the
+schedule is the pure what-if overlap of ``runs`` back-to-back frames.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.analysis.regions import RegionOracle, boxes_overlap
 from repro.errors import DeviceError
 from repro.ir.program import (
     AllocDevice,
@@ -42,6 +46,14 @@ from repro.ir.program import (
     region_count,
 )
 from repro.obs.span import current_tracer
+from repro.runtime.cache import CompileCache
+from repro.runtime.fleet import (
+    DeviceTopology,
+    FleetDevice,
+    FrameTicket,
+    make_placement,
+    upload_nbytes,
+)
 
 __all__ = [
     "ScheduledNode",
@@ -57,6 +69,13 @@ HOST = "host"
 _EPS = 1e-9
 
 
+def _disjoint(a, b) -> bool:
+    """Whether two access-box lists provably never overlap (None = whole)."""
+    if a is None or b is None:
+        return False
+    return not any(boxes_overlap(x, y) for x in a for y in b)
+
+
 @dataclass(frozen=True)
 class ScheduledNode:
     """One operation placed on the pipeline timeline."""
@@ -67,10 +86,10 @@ class ScheduledNode:
     # migration transfers (no backing program op)
     name: str
     engine: str  # "h2d" | "compute" | "d2h" | "host", "d{k}:"-prefixed
-    # (host lanes "hl{l}:host") when built against a DeviceTopology
+    # (host lanes "hl{l}:host") on a fleet of more than one device
     start_us: float
     end_us: float
-    #: device stream the op belongs to (0 on single-device schedules)
+    #: device the op belongs to (0 on single-device schedules)
     device: int = 0
     #: node ids this operation waited on (data, WAR/WAW and host deps;
     #: engine-FIFO predecessors are implicit in the per-engine order)
@@ -80,8 +99,7 @@ class ScheduledNode:
     #: resources written
     writes: tuple[tuple[str, str], ...] = ()
     #: per entry of ``reads``: the access boxes of
-    #: :mod:`repro.analysis.regions` (``None`` = whole resource); empty
-    #: when the schedule was built with ``regions=False``
+    #: :mod:`repro.analysis.regions` (``None`` = whole resource)
     read_boxes: tuple = field(default=(), compare=False, repr=False)
     #: per entry of ``writes``, same convention
     write_boxes: tuple = field(default=(), compare=False, repr=False)
@@ -102,9 +120,9 @@ class PipelineSchedule:
     serial_us: float
     nodes: tuple[ScheduledNode, ...] = field(compare=False)
     #: fleet shape: device count, per-frame placements (device index per
-    #: frame, empty on single-device schedules) and host-staged migration
-    #: accounting — migration time is *extra* work the placement chose to
-    #: pay, so it is kept out of ``serial_us`` (the what-if baseline)
+    #: frame) and host-staged migration accounting — migration time is
+    #: *extra* work the placement chose to pay, so it is kept out of
+    #: ``serial_us`` (the what-if baseline)
     devices: int = 1
     placements: tuple[int, ...] = field(default=(), compare=False)
     migrations: int = 0
@@ -176,7 +194,6 @@ def build_schedule(
     runs: int = 1,
     depth: int | None = 2,
     serialize: bool = False,
-    regions: bool = True,
     topology=None,
     placements=None,
     placement="round-robin",
@@ -189,20 +206,20 @@ def build_schedule(
     functionally).  ``depth`` is the number of physical slots backing each
     device buffer (``None`` — one per run, i.e. unbounded buffering);
     ``serialize=True`` chains every operation after the previous one.
-    With ``regions=True`` (the default) data dependences are tracked at
-    the granularity of the access-region oracle: an operation does not
-    wait for a predecessor touching a provably disjoint box of the same
-    resource, so e.g. a partial upload of one tile overlaps a kernel
-    writing another.  ``regions=False`` restores whole-resource edges.
+    Data dependences are tracked at the granularity of the access-region
+    oracle: an operation does not wait for a predecessor touching a
+    provably disjoint box of the same resource, so e.g. a partial upload
+    of one tile overlaps a kernel writing another.
 
-    With a :class:`~repro.runtime.fleet.DeviceTopology` the runs shard
-    across the fleet: every device owns a namespaced engine triple
-    (``d{k}:h2d`` / ``d{k}:compute`` / ``d{k}:d2h``) with its own buffer
-    slots and its own host-step barrier stream; host steps run on at most
-    ``host.cores`` shared lanes and every PCIe transfer additionally
-    queues on the topology's shared host staging channels (the saturation
-    model).  ``frame_batch`` consecutive runs form one frame — the unit
-    of placement.  ``placements`` gives one
+    The runs shard across a :class:`~repro.runtime.fleet.DeviceTopology`
+    (``None``: one device built around ``executor`` — a single device is
+    a fleet of one): every device owns an engine triple
+    (``d{k}:h2d`` / ``d{k}:compute`` / ``d{k}:d2h``; bare names on a
+    fleet of one) with its own buffer slots and its own host-step barrier
+    stream; host steps run on at most ``host.cores`` shared lanes and
+    every PCIe transfer additionally queues on the topology's shared host
+    staging channels (the saturation model).  ``frame_batch`` consecutive
+    runs form one frame — the unit of placement.  ``placements`` gives one
     :class:`~repro.runtime.fleet.PlacementDecision` per frame (e.g. from
     :class:`~repro.runtime.pipeline.FramePipeline`'s placement stage);
     without it, frames are placed by the named ``placement`` policy.  A
@@ -219,7 +236,7 @@ def build_schedule(
         devices=1 if topology is None else len(topology),
     ) as span:
         schedule = _build_schedule(
-            program, executor, runs, depth, serialize, regions,
+            program, executor, runs, depth, serialize,
             topology=topology, placements=placements, placement=placement,
             frame_batch=frame_batch,
         )
@@ -233,7 +250,6 @@ def _build_schedule(
     runs: int,
     depth: int | None,
     serialize: bool,
-    regions: bool = True,
     topology=None,
     placements=None,
     placement="round-robin",
@@ -247,71 +263,53 @@ def _build_schedule(
     if frame_batch <= 0:
         raise ValueError("frame_batch must be positive")
     cost = executor.cost
+    if topology is None:
+        if placements is not None:
+            raise ValueError("placements require a device topology")
+        # a single device is a fleet of one
+        topology = DeviceTopology([FleetDevice(0, executor, CompileCache())])
 
     frames = (runs + frame_batch - 1) // frame_batch
-    decisions = None
-    if topology is not None:
-        from repro.runtime.fleet import FrameTicket, make_placement
+    if placements is None:
+        policy = make_placement(placement, len(topology))
+        decisions = [
+            policy.place(FrameTicket(frame=f, cache_key=program.name))
+            for f in range(frames)
+        ]
+    else:
+        decisions = list(placements)
+        if len(decisions) != frames:
+            raise ValueError(
+                f"{len(decisions)} placement(s) for {frames} frame(s) "
+                f"({runs} runs in batches of {frame_batch})"
+            )
+    for d in decisions:
+        if not 0 <= d.device < len(topology):
+            raise DeviceError(
+                f"frame {d.frame} placed on device {d.device} of a "
+                f"{len(topology)}-device topology"
+            )
+        if d.migrate_from is not None and not (
+            0 <= d.migrate_from < len(topology)
+        ):
+            raise DeviceError(
+                f"frame {d.frame} migrates from unknown device "
+                f"{d.migrate_from}"
+            )
 
-        if placements is None:
-            policy = make_placement(placement, len(topology))
-            decisions = [
-                policy.place(FrameTicket(frame=f, cache_key=program.name))
-                for f in range(frames)
-            ]
-        else:
-            decisions = list(placements)
-            if len(decisions) != frames:
-                raise ValueError(
-                    f"{len(decisions)} placement(s) for {frames} frame(s) "
-                    f"({runs} runs in batches of {frame_batch})"
-                )
-        for d in decisions:
-            if not 0 <= d.device < len(topology):
-                raise DeviceError(
-                    f"frame {d.frame} placed on device {d.device} of a "
-                    f"{len(topology)}-device topology"
-                )
-            if d.migrate_from is not None and not (
-                0 <= d.migrate_from < len(topology)
-            ):
-                raise DeviceError(
-                    f"frame {d.frame} migrates from unknown device "
-                    f"{d.migrate_from}"
-                )
-    elif placements is not None:
-        raise ValueError("placements require a device topology")
-
-    overlap = None
-    op_access = None
-    if regions:
-        from repro.analysis.regions import RegionOracle, boxes_overlap
-
-        overlap = boxes_overlap
-        oracle = RegionOracle(program)
-        op_access = [oracle.accesses(i) for i in range(len(program.ops))]
+    oracle = RegionOracle(program)
+    op_access = [oracle.accesses(i) for i in range(len(program.ops))]
 
     def boxes_for(i: int, kind: str, name: str, write: bool):
         """Access boxes of ``program.ops[i]`` on a resource (None = whole)."""
-        if op_access is None:
-            return None
         return op_access[i][1 if write else 0].get((kind, name))
-
-    def disjoint(a, b) -> bool:
-        if overlap is None or a is None or b is None:
-            return False
-        return not any(overlap(x, y) for x in a for y in b)
 
     nbytes: dict[str, int] = {}
     itemsize: dict[str, int] = {}
-    if topology is None:
-        engine_ready: dict[str, float] = {"h2d": 0.0, "compute": 0.0, "d2h": 0.0}
-        chan_ready = None
-    else:
-        # every namespaced engine (host lanes included) runs FIFO; PCIe
-        # transfers additionally queue on the shared staging channels
-        engine_ready = {e: 0.0 for e in topology.engines()}
-        chan_ready = [0.0] * topology.host_channels
+    # every engine (host lanes included) runs FIFO; PCIe transfers
+    # additionally queue on the shared staging channels
+    engine_ready = {e: 0.0 for e in topology.engines()}
+    chan_ready = [0.0] * topology.host_channels
     #: per resource, the writers/readers still relevant for dependences:
     #: (node id, end, access boxes, engine).  A whole-resource write
     #: supersedes everything before it (it waited on all of it); a
@@ -337,15 +335,10 @@ def _build_schedule(
     floor_dep: int | None = None
 
     def eng(kind: str) -> str:
-        return kind if topology is None else f"d{cur_dev}:{kind}"
+        return topology.engine(cur_dev, kind)
 
-    def lane() -> str:
-        return "host" if topology is None else topology.host_lane(cur_dev)
-
-    def dev(buffer: str, run: int) -> tuple[str, str]:
-        if topology is None:
-            return (DEV, f"{buffer}@s{run % depth}")
-        return (DEV, f"d{cur_dev}/{buffer}@s{cur_slot}")
+    def dev(buffer: str) -> tuple[str, str]:
+        return (DEV, topology.slot(cur_dev, buffer, cur_slot))
 
     def host_res(name: str, run: int) -> tuple[str, str]:
         return (HOST, f"{name}@r{run}")
@@ -359,7 +352,7 @@ def _build_schedule(
         res: tuple[str, str], after: float, deps: set[int], boxes=None
     ) -> float:
         for wid, wend, wb, _ in writers.get(res, ()):
-            if disjoint(boxes, wb):
+            if _disjoint(boxes, wb):
                 continue
             deps.add(wid)
             after = max(after, wend)
@@ -370,7 +363,7 @@ def _build_schedule(
     ) -> float:
         after = wait_read(res, after, deps, boxes)  # WAW
         for rid, rend, rb, _ in readers.get(res, ()):  # WAR (slot recycling)
-            if disjoint(boxes, rb):
+            if _disjoint(boxes, rb):
                 continue
             deps.add(rid)
             after = max(after, rend)
@@ -407,8 +400,8 @@ def _build_schedule(
         if serialize and prev_node is not None:
             deps.add(prev_node[0])
             after = max(after, prev_node[1])
-        start = max(engine_ready.get(engine, 0.0), after)
-        if channel and chan_ready is not None:
+        start = max(engine_ready[engine], after)
+        if channel:
             # the PCIe wire: this transfer occupies one of the shared
             # host staging channels for exactly its duration.  Best fit:
             # take the latest-freed channel already free when the
@@ -426,12 +419,7 @@ def _build_schedule(
                 start = chan_ready[ci]
             chan_ready[ci] = start + dur
         end = start + dur
-        if engine in engine_ready:
-            engine_ready[engine] = end
-        if not read_boxes:
-            read_boxes = (None,) * len(read_res)
-        if not write_boxes:
-            write_boxes = (None,) * len(write_res)
+        engine_ready[engine] = end
         node = ScheduledNode(
             id=len(nodes),
             run=run,
@@ -469,43 +457,40 @@ def _build_schedule(
         return node
 
     for run in range(runs):
-        if topology is not None:
-            frame = run // frame_batch
-            dcsn = decisions[frame]
-            cur_dev = dcsn.device
-            count = dev_run_count.get(cur_dev, 0)
-            cur_slot = count % depth
-            dev_run_count[cur_dev] = count + 1
-            floor_end, floor_dep = 0.0, None
-            if (
-                run % frame_batch == 0
-                and dcsn.migrate_from is not None
-                and dcsn.migrate_from != cur_dev
-            ):
-                # host-staged migration: D2H the frame's working set on
-                # the source, H2D it on the target, both through the
-                # shared staging channels — the frame's runs wait on it
-                if mig_nbytes is None:
-                    from repro.runtime.fleet import upload_nbytes
-
-                    mig_nbytes = upload_nbytes(program)
-                d2h_us, h2d_us = topology.migration_us(mig_nbytes)
-                src, dst = dcsn.migrate_from, cur_dev
-                nsrc = place(
-                    run, -1, f"migrate-d2h:{src}->{dst}", f"d{src}:d2h",
-                    d2h_us, 0.0, set(), read_res=(), write_res=(),
-                    device=src, channel=True,
-                )
-                ndst = place(
-                    run, -1, f"migrate-h2d:{src}->{dst}", f"d{dst}:h2d",
-                    h2d_us, nsrc.end_us, {nsrc.id}, read_res=(), write_res=(),
-                    device=dst, channel=True,
-                )
-                frame_floors[frame] = (ndst.end_us, ndst.id)
-                migration_total += d2h_us + h2d_us
-                migration_count += 1
-            if frame in frame_floors:
-                floor_end, floor_dep = frame_floors[frame]
+        frame = run // frame_batch
+        dcsn = decisions[frame]
+        cur_dev = dcsn.device
+        count = dev_run_count.get(cur_dev, 0)
+        cur_slot = count % depth
+        dev_run_count[cur_dev] = count + 1
+        floor_end, floor_dep = 0.0, None
+        if (
+            run % frame_batch == 0
+            and dcsn.migrate_from is not None
+            and dcsn.migrate_from != cur_dev
+        ):
+            # host-staged migration: D2H the frame's working set on the
+            # source, H2D it on the target, both through the shared
+            # staging channels — the frame's runs wait on it
+            if mig_nbytes is None:
+                mig_nbytes = upload_nbytes(program)
+            d2h_us, h2d_us = topology.migration_us(mig_nbytes)
+            src, dst = dcsn.migrate_from, cur_dev
+            nsrc = place(
+                run, -1, f"migrate-d2h:{src}->{dst}",
+                topology.engine(src, "d2h"), d2h_us, 0.0, set(),
+                read_res=(), write_res=(), device=src, channel=True,
+            )
+            ndst = place(
+                run, -1, f"migrate-h2d:{src}->{dst}",
+                topology.engine(dst, "h2d"), h2d_us, nsrc.end_us, {nsrc.id},
+                read_res=(), write_res=(), device=dst, channel=True,
+            )
+            frame_floors[frame] = (ndst.end_us, ndst.id)
+            migration_total += d2h_us + h2d_us
+            migration_count += 1
+        if frame in frame_floors:
+            floor_end, floor_dep = frame_floors[frame]
         for i, op in enumerate(program.ops):
             if isinstance(op, AllocDevice):
                 nbytes[op.buffer] = op.nbytes
@@ -518,7 +503,7 @@ def _build_schedule(
                 dur = cost.h2d_time_us(xfer_nbytes(op))
                 serial += dur
                 deps: set[int] = set()
-                res = dev(op.device, run)
+                res = dev(op.device)
                 wb = boxes_for(i, "device buffer", op.device, True)
                 rb = boxes_for(i, "host array", op.host, False)
                 after = wait_write(res, 0.0, deps, wb)
@@ -537,7 +522,7 @@ def _build_schedule(
                 read_boxes: list = []
                 write_boxes: list = []
                 for param, buf in op.array_args:
-                    res = dev(buf, run)
+                    res = dev(buf)
                     intent = op.kernel.array(param).intent
                     if intent in ("in", "inout"):
                         rb = boxes_for(i, "device buffer", buf, False)
@@ -560,7 +545,7 @@ def _build_schedule(
                 dur = cost.d2h_time_us(xfer_nbytes(op))
                 serial += dur
                 deps = set()
-                res = dev(op.device, run)
+                res = dev(op.device)
                 out_res = host_res(op.host, run)
                 rb = boxes_for(i, "device buffer", op.device, False)
                 wb = boxes_for(i, "host array", op.host, True)
@@ -593,7 +578,7 @@ def _build_schedule(
                     write_boxes.append(wb)
                     after = wait_write(res, after, deps, wb)
                 node = place(
-                    run, i, op.name, lane(), dur, after, deps,
+                    run, i, op.name, eng("host"), dur, after, deps,
                     read_res=tuple(read_res), write_res=tuple(write_res),
                     read_boxes=tuple(read_boxes), write_boxes=tuple(write_boxes),
                 )
@@ -609,10 +594,8 @@ def _build_schedule(
         serialize=serialize,
         serial_us=serial,
         nodes=tuple(nodes),
-        devices=1 if topology is None else len(topology),
-        placements=(
-            tuple(d.device for d in decisions) if decisions is not None else ()
-        ),
+        devices=len(topology),
+        placements=tuple(d.device for d in decisions),
         migrations=migration_count,
         migration_us=migration_total,
     )
@@ -629,19 +612,9 @@ def schedule_violations(schedule: PipelineSchedule) -> list[str]:
 
     The check mirrors the builder's region awareness symmetrically: a
     pair of accesses whose recorded boxes are provably disjoint needs no
-    ordering, so skipping its dependence is not a violation.  Nodes
-    without boxes (``regions=False`` builds) are checked whole-resource.
+    ordering, so skipping its dependence is not a violation.  Every
+    recorded access must carry its boxes (``None`` = whole resource).
     """
-    from repro.analysis.regions import boxes_overlap
-
-    def disjoint(a, b) -> bool:
-        if a is None or b is None:
-            return False
-        return not any(boxes_overlap(x, y) for x in a for y in b)
-
-    def aligned(boxes, resources):
-        return boxes if boxes else (None,) * len(resources)
-
     out: list[str] = []
 
     # per-engine FIFO: issue order == time order, no overlap
@@ -649,9 +622,8 @@ def schedule_violations(schedule: PipelineSchedule) -> list[str]:
     for n in schedule.nodes:
         by_engine.setdefault(n.engine, []).append(n)
     for engine, ns in by_engine.items():
-        # host engines/lanes are FIFO too: the builder's host_sync (one
-        # stream) or lane FIFO (fleet) serialises steps on one lane, so
-        # the same no-overlap check applies to every engine
+        # host lanes are FIFO too: the builder serialises the host steps
+        # of one lane, so the same no-overlap check applies to every engine
         for a, b in zip(ns, ns[1:]):
             if b.start_us < a.end_us - _EPS:
                 out.append(
@@ -667,9 +639,9 @@ def schedule_violations(schedule: PipelineSchedule) -> list[str]:
     writer_hist: dict[tuple[str, str], list] = {}
     reader_hist: dict[tuple[str, str], list] = {}
     for n in schedule.nodes:
-        for res, rb in zip(n.reads, aligned(n.read_boxes, n.reads)):
+        for res, rb in zip(n.reads, n.read_boxes, strict=True):
             for w, wb in writer_hist.get(res, ()):
-                if disjoint(rb, wb):
+                if _disjoint(rb, wb):
                     continue
                 if n.start_us < w.end_us - _EPS:
                     out.append(
@@ -677,9 +649,9 @@ def schedule_violations(schedule: PipelineSchedule) -> list[str]:
                         f"{n.start_us:.3f} before writer {w.id} ({w.name}) "
                         f"ends at {w.end_us:.3f}"
                     )
-        for res, wb in zip(n.writes, aligned(n.write_boxes, n.writes)):
+        for res, wb in zip(n.writes, n.write_boxes, strict=True):
             for w, owb in writer_hist.get(res, ()):
-                if disjoint(wb, owb):
+                if _disjoint(wb, owb):
                     continue
                 if n.start_us < w.end_us - _EPS:
                     out.append(
@@ -688,7 +660,7 @@ def schedule_violations(schedule: PipelineSchedule) -> list[str]:
                         f"ends at {w.end_us:.3f}"
                     )
             for r, rb in reader_hist.get(res, ()):
-                if disjoint(wb, rb):
+                if _disjoint(wb, rb):
                     continue
                 if n.start_us < r.end_us - _EPS:
                     out.append(
@@ -696,7 +668,7 @@ def schedule_violations(schedule: PipelineSchedule) -> list[str]:
                         f"{n.start_us:.3f} before reader {r.id} ({r.name}) "
                         f"ends at {r.end_us:.3f}"
                     )
-        for res, wb in zip(n.writes, aligned(n.write_boxes, n.writes)):
+        for res, wb in zip(n.writes, n.write_boxes):
             if wb is None:
                 writer_hist[res] = [(n, None)]
                 reader_hist[res] = []
@@ -704,7 +676,7 @@ def schedule_violations(schedule: PipelineSchedule) -> list[str]:
                 kept = [w for w in writer_hist.get(res, ()) if w[1] != wb]
                 kept.append((n, wb))
                 writer_hist[res] = kept
-        for res, rb in zip(n.reads, aligned(n.read_boxes, n.reads)):
+        for res, rb in zip(n.reads, n.read_boxes):
             kept = [
                 r for r in reader_hist.get(res, ())
                 if not (r[1] == rb and r[0].engine == n.engine)

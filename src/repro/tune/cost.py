@@ -2,7 +2,7 @@
 
 A candidate is priced without functional execution: the compiled
 program's static shape (:class:`~repro.opt.ProgramStats`) supplies
-transferred bytes and launch count, and a whole-resource-edge
+transferred bytes and launch count, and a region-precise
 :func:`~repro.runtime.schedule.build_schedule` replay over a few frames
 supplies the modelled makespan under the candidate's depth and placement.
 The three numbers compare **lexicographically** — makespan first, then

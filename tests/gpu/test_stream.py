@@ -1,4 +1,5 @@
-"""Unit tests for the stream-overlap (pipelining) analysis."""
+"""Stream overlap (pipelining frames across the copy and compute engines),
+timed by the runtime scheduler with unbounded buffering."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from repro.gpu import (
     CostModel,
     GPUExecutor,
     UNCALIBRATED,
-    overlapped_makespan,
 )
 from repro.ir import (
     AllocDevice,
@@ -27,6 +27,7 @@ from repro.ir import (
     Store,
     ThreadIdx,
 )
+from repro.runtime import build_schedule, schedule_violations
 
 
 def pipeline_program(n=64):
@@ -57,6 +58,13 @@ def pipeline_program(n=64):
     )
 
 
+def overlap(program, executor, frames):
+    """Schedule ``frames`` back-to-back runs with unbounded buffering."""
+    s = build_schedule(program, executor, runs=frames, depth=None)
+    assert schedule_violations(s) == []
+    return s
+
+
 @pytest.fixture()
 def executor():
     ex = GPUExecutor(CostModel(UNCALIBRATED))
@@ -66,33 +74,33 @@ def executor():
 
 class TestOverlap:
     def test_single_frame_cannot_overlap(self, executor):
-        r = overlapped_makespan(pipeline_program(), executor, frames=1)
-        assert r.overlapped_us == pytest.approx(r.serial_us)
+        r = overlap(pipeline_program(), executor, frames=1)
+        assert r.makespan_us == pytest.approx(r.serial_us)
         assert r.speedup == pytest.approx(1.0)
 
     def test_many_frames_pipeline(self, executor):
-        r = overlapped_makespan(pipeline_program(), executor, frames=50)
-        assert r.overlapped_us < r.serial_us
+        r = overlap(pipeline_program(), executor, frames=50)
+        assert r.makespan_us < r.serial_us
         # steady state is bounded below by the busiest engine
         busiest = max(
             r.engine_busy_us(e) for e in ("h2d", "compute", "d2h")
         )
-        assert r.overlapped_us >= busiest
-        assert r.overlapped_us < busiest * 1.5  # most of the rest is hidden
+        assert r.makespan_us >= busiest
+        assert r.makespan_us < busiest * 1.5  # most of the rest is hidden
 
     def test_serial_total_matches_executor(self, executor):
         prog = pipeline_program()
         res = executor.run(prog, functional=False)
-        r = overlapped_makespan(prog, executor, frames=1)
+        r = overlap(prog, executor, frames=1)
         assert r.serial_us == pytest.approx(res.total_us)
 
     def test_dependences_respected(self, executor):
-        r = overlapped_makespan(pipeline_program(), executor, frames=3)
-        by_name = {s.name: s for s in r.schedule}
+        r = overlap(pipeline_program(), executor, frames=3)
         for f in range(3):
-            h2d = by_name[f"f{f}:h2d:d_in"]
-            kernel = by_name[f"f{f}:work"]
-            d2h = by_name[f"f{f}:d2h:d_out"]
+            by_name = {s.name: s for s in r.run_nodes(f)}
+            h2d = by_name["h2d:d_in"]
+            kernel = by_name["work"]
+            d2h = by_name["d2h:d_out"]
             assert kernel.start_us >= h2d.end_us
             assert d2h.start_us >= kernel.end_us
 
@@ -116,7 +124,7 @@ class TestOverlap:
             host_outputs=("h_out",),
         )
         executor.run(prog, {"h_in": np.zeros(64, np.int32)})
-        r = overlapped_makespan(prog, executor, frames=20)
+        r = overlap(prog, executor, frames=20)
         # the host step forces every next frame to wait: no pipelining win
         assert r.speedup == pytest.approx(1.0, abs=0.05)
 
@@ -149,8 +157,6 @@ class TestDownscalerOverlap:
             cf = compile_function(prog, "downscale", CompileOptions(target="cuda"))
             ex = GPUExecutor(CostModel(params))
             ex.run(cf.program, {"frame": frame})
-            speedups[variant] = overlapped_makespan(
-                cf.program, ex, frames=30
-            ).speedup
+            speedups[variant] = overlap(cf.program, ex, frames=30).speedup
         assert speedups[NONGENERIC] > 1.3
         assert speedups[GENERIC] == pytest.approx(1.0, abs=0.05)

@@ -37,7 +37,9 @@ def test_pipeline_run_records_every_stage():
     (root,) = tracer.roots()
     assert root.name == "pipeline:gaspard"
     stages = [s.name for s in tracer.children(root)]
-    assert stages == ["compile-stage", "validate-stage", "schedule-stage"]
+    assert stages == [
+        "placement-stage", "compile-stage", "validate-stage", "schedule-stage",
+    ]
 
     (compile_stage,) = tracer.find("compile-stage")
     assert compile_stage.attrs == {"hits": 1, "misses": 1}

@@ -1,12 +1,21 @@
 """Tests for the Gantt renderer."""
 
-from repro.gpu.stream import OverlapResult, ScheduledOp
 from repro.report import render_gantt
+from repro.runtime.schedule import PipelineSchedule, ScheduledNode
+
+
+def _node(name, engine, start, end):
+    return ScheduledNode(
+        id=0, run=0, op_index=0, name=name, engine=engine,
+        start_us=start, end_us=end,
+    )
 
 
 def result(ops, serial=100.0):
-    span = max((o.end_us for o in ops), default=0.0)
-    return OverlapResult(serial_us=serial, overlapped_us=span, schedule=tuple(ops))
+    return PipelineSchedule(
+        program="hand-built", runs=1, depth=1, serialize=False,
+        serial_us=serial, nodes=tuple(ops),
+    )
 
 
 def test_empty_schedule():
@@ -15,9 +24,9 @@ def test_empty_schedule():
 
 def test_engines_rendered_with_busy_totals():
     ops = [
-        ScheduledOp("a", "h2d", 0.0, 40.0),
-        ScheduledOp("k", "compute", 40.0, 100.0),
-        ScheduledOp("b", "d2h", 100.0, 110.0),
+        _node("a", "h2d", 0.0, 40.0),
+        _node("k", "compute", 40.0, 100.0),
+        _node("b", "d2h", 100.0, 110.0),
     ]
     text = render_gantt(result(ops, serial=110.0), width=22)
     assert "h2d" in text and "compute" in text and "d2h" in text
@@ -27,16 +36,16 @@ def test_engines_rendered_with_busy_totals():
 
 
 def test_idle_engines_omitted():
-    ops = [ScheduledOp("k", "compute", 0.0, 50.0)]
+    ops = [_node("k", "compute", 0.0, 50.0)]
     text = render_gantt(result(ops, serial=50.0))
     assert "h2d" not in text
 
 
 def test_bars_reflect_intervals():
     ops = [
-        ScheduledOp("k1", "compute", 0.0, 50.0),
-        ScheduledOp("k2", "compute", 50.0, 100.0),
-        ScheduledOp("t", "h2d", 0.0, 50.0),
+        _node("k1", "compute", 0.0, 50.0),
+        _node("k2", "compute", 50.0, 100.0),
+        _node("t", "h2d", 0.0, 50.0),
     ]
     text = render_gantt(result(ops, serial=150.0), width=10)
     lines = {l.split("|")[0].strip(): l for l in text.splitlines() if "|" in l}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps.downscaler import NONGENERIC
+from repro.apps.downscaler import GENERIC, NONGENERIC
 from repro.errors import ReproError
 from repro.runtime import (
     CacheAffinityPlacement,
@@ -29,7 +29,8 @@ def topo2():
 def test_topology_shape(topo2):
     assert len(topo2) == 2
     assert [d.name for d in topo2] == ["d0", "d1"]
-    assert topo2.device(1).engine("compute") == "d1:compute"
+    assert topo2.engine(1, "compute") == "d1:compute"
+    assert topo2.slot(1, "d_in", 0) == "d1/d_in@s0"
     # device-major engines, then the shared host lanes
     assert topo2.engines() == (
         "d0:h2d", "d0:compute", "d0:d2h",
@@ -42,8 +43,8 @@ def test_topology_host_lanes_bounded_by_cores():
     topo = DeviceTopology.build(8)
     # the i7-930 has four cores: eight device streams share four lanes
     assert topo.host_lanes == 4
-    assert topo.host_lane(1) == "hl1:host"
-    assert topo.host_lane(5) == "hl1:host"
+    assert topo.engine(1, "host") == "hl1:host"
+    assert topo.engine(5, "host") == "hl1:host"
 
 
 def test_topology_per_device_isolation(topo2):
@@ -190,12 +191,34 @@ def test_fleet_schedule_is_valid_and_faster(sac_programs, executor):
 
 
 def test_single_device_topology_matches_legacy_makespan(sac_programs, executor):
-    program = sac_programs[NONGENERIC]
-    base = build_schedule(program, executor, runs=6, depth=2)
+    """A single device is a fleet of one: with or without an explicit
+    one-device topology the schedule is the same, node for node, under
+    the bare single-device engine and slot names."""
     topo = DeviceTopology.build(1)
-    fleet = build_schedule(program, executor, runs=6, depth=2, topology=topo)
-    assert fleet.makespan_us == pytest.approx(base.makespan_us)
-    assert schedule_violations(fleet) == []
+    assert topo.engines() == ("h2d", "compute", "d2h", "host")
+    assert topo.slot(0, "d_in", 1) == "d_in@s1"
+
+    def shape(s):
+        return [
+            (n.name, n.engine, n.start_us, n.end_us, n.deps, n.reads, n.writes)
+            for n in s.nodes
+        ]
+
+    for variant in (NONGENERIC, GENERIC):
+        program = sac_programs[variant]
+        for runs, depth, serialize in (
+            (6, 2, False), (4, 1, False), (12, None, False), (4, 2, True),
+        ):
+            base = build_schedule(
+                program, executor, runs=runs, depth=depth, serialize=serialize
+            )
+            fleet = build_schedule(
+                program, executor, runs=runs, depth=depth, serialize=serialize,
+                topology=topo,
+            )
+            assert shape(fleet) == shape(base)
+            assert fleet.serial_us == base.serial_us
+            assert schedule_violations(fleet) == []
 
 
 def test_fleet_schedule_records_placements(gaspard_program, executor):

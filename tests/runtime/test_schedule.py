@@ -1,10 +1,21 @@
-"""The three-engine scheduler: equivalence, knobs and dependence safety."""
+"""The three-engine scheduler: pipelining, knobs and dependence safety."""
 
 import pytest
 
 from repro.apps.downscaler import GENERIC, NONGENERIC
-from repro.gpu import overlapped_makespan
 from repro.runtime import build_schedule, schedule_violations
+
+
+# (serial_us, overlapped_us) of the retired ``gpu.stream`` what-if
+# analysis on the CIF fixtures, recorded before it was removed.
+_OVERLAPPED_MAKESPAN_US = {
+    (NONGENERIC, 1): (1026.7575488202774, 1026.7571361087628),
+    (NONGENERIC, 3): (3080.272646460833, 2875.5078821214543),
+    (NONGENERIC, 7): (7187.302841741938, 6573.009374146834),
+    (GENERIC, 1): (824.2860404869718, 824.2852150639426),
+    (GENERIC, 3): (2472.8581214609158, 2472.8556451918275),
+    (GENERIC, 7): (5770.0022834088, 5769.996505447595),
+}
 
 
 @pytest.mark.parametrize("variant", [NONGENERIC, GENERIC])
@@ -12,13 +23,14 @@ from repro.runtime import build_schedule, schedule_violations
 def test_generalises_overlapped_makespan(sac_programs, executor, sac_env,
                                          variant, frames):
     """With unbounded buffering (depth=None) the scheduler reproduces the
-    ``gpu.stream`` what-if analysis exactly, serial and overlapped."""
+    retired ``gpu.stream`` what-if analysis exactly, serial and overlapped."""
     program = sac_programs[variant]
     executor.run(program, sac_env)
-    reference = overlapped_makespan(program, executor, frames=frames)
+    serial_us, overlapped_us = _OVERLAPPED_MAKESPAN_US[variant, frames]
     schedule = build_schedule(program, executor, runs=frames, depth=None)
-    assert schedule.serial_us == pytest.approx(reference.serial_us, abs=1e-6)
-    assert schedule.makespan_us == pytest.approx(reference.overlapped_us, abs=1e-6)
+    assert schedule.serial_us == pytest.approx(serial_us, abs=1e-6)
+    assert schedule.makespan_us == pytest.approx(overlapped_us, abs=1e-6)
+    assert schedule_violations(schedule) == []
 
 
 def test_serialize_knob_restores_serial_total(sac_programs, executor):
@@ -30,8 +42,11 @@ def test_serialize_knob_restores_serial_total(sac_programs, executor):
 
 def test_overlap_never_exceeds_serial(sac_programs, gaspard_program, executor):
     for program in (*sac_programs.values(), gaspard_program):
+        # the serial total is exactly the executor's per-run total
+        run_us = executor.run(program, functional=False).total_us
         for depth in (1, 2, None):
             s = build_schedule(program, executor, runs=4, depth=depth)
+            assert s.serial_us == pytest.approx(4 * run_us, rel=1e-9)
             assert s.makespan_us <= s.serial_us + 1e-6
             assert schedule_violations(s) == []
 
@@ -127,3 +142,31 @@ def test_rejects_bad_arguments(sac_programs, executor):
         build_schedule(sac_programs[NONGENERIC], executor, runs=0)
     with pytest.raises(ValueError):
         build_schedule(sac_programs[NONGENERIC], executor, runs=1, depth=-1)
+
+
+def test_reupload_waits_for_the_download_it_stages(executor):
+    """Per-kernel transfer placement downloads ``d__output_13`` to the
+    host and re-uploads it for the next WITH-loop.  The re-upload reads
+    the host array the download writes (RAW) and overwrites a buffer the
+    kernels k0-k4 are writing (WAW), so it may start only after both —
+    a schedule that starts it right after the first upload is invalid."""
+    from repro.apps.downscaler import CIF, downscaler_program_source
+    from repro.sac.backend import CompileOptions, compile_function
+    from repro.sac.parser import parse
+
+    program = compile_function(
+        parse(downscaler_program_source(CIF, NONGENERIC)),
+        "downscale",
+        CompileOptions(target="cuda", transfers="per_kernel"),
+    ).program
+    s = build_schedule(program, executor, runs=12, depth=None)
+    assert schedule_violations(s) == []
+    for run in range(12):
+        nodes = s.run_nodes(run)
+        (down,) = [n for n in nodes if n.name == "d2h:d__output_13"]
+        (up,) = [n for n in nodes if n.name == "h2d:d__output_13"]
+        assert down.writes == up.reads == (("host", f"_output_13@r{run}"),)
+        assert up.start_us >= down.end_us - 1e-9
+        writers = [n for n in nodes if n.name.startswith("downscale__output_13_k")]
+        assert len(writers) == 5
+        assert all(up.start_us >= k.end_us - 1e-9 for k in writers)
