@@ -46,6 +46,7 @@ from math import prod
 import numpy as np
 
 from repro.analysis.diagnostics import Diagnostic
+from repro.footprint import paint_box
 from repro.ir.expr import BinOp, Const, LocalRef, ParamRef, Read, Select, ThreadIdx, UnOp, walk
 from repro.ir.fused import FusedKernel
 from repro.ir.kernel import Kernel
@@ -265,16 +266,7 @@ def must_cover(boxes, shape: tuple[int, ...]) -> bool:
         return False
     mask = np.zeros(shape, dtype=bool)
     for b in exact:
-        index = []
-        for s, n in zip(b.segs, shape):
-            start = s.lo if s.lo >= 0 else s.lo % s.step
-            stop = min(s.hi, n - 1) + 1
-            if start >= stop:
-                index = None
-                break
-            index.append(slice(start, stop, s.step))
-        if index is not None:
-            mask[tuple(index)] = True
+        paint_box(mask, b.segs)
     return bool(mask.all())
 
 
@@ -483,9 +475,15 @@ def _eval_binop(e: BinOp, ctx: _Ctx):
 
 
 def _index_box(index, shape: tuple[int, ...], ctx: _Ctx) -> Box:
-    """Box for one subscript; whole-buffer fallback if any dim escapes."""
+    """Box for one subscript; whole-buffer fallback if any dim escapes.
+
+    The box is the product of per-dimension progressions, so it is exact
+    only when each progression is and no axis moves two dimensions at
+    once (``a[i, i]`` touches a diagonal, not the square around it).
+    """
     segs: list[Seg] = []
     exact = True
+    used: set = set()
     for e, n in zip(index, shape):
         res = _eval(e, ctx)
         if res is None:
@@ -494,6 +492,9 @@ def _index_box(index, shape: tuple[int, ...], ctx: _Ctx) -> Box:
             seg, dim_exact = progression_box(
                 res.const, ((c, ctx.axes[k]) for k, c in res.terms)
             )
+            axes = {k for k, _ in res.terms if ctx.axes[k] > 1}
+            dim_exact = dim_exact and not axes & used
+            used |= axes
         else:
             seg, dim_exact = Seg(res.lo, res.hi, 1), res.lo == res.hi
         segs.append(seg)

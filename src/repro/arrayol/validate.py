@@ -24,13 +24,15 @@ from repro.arrayol.model import (
     RepetitiveTask,
     Task,
 )
+from repro.obs.span import current_tracer
 from repro.tilers import is_exact, is_injective
 
 __all__ = ["validate_model", "validate_task", "dataflow_graph"]
 
 
 def validate_model(model: ApplicationModel) -> None:
-    validate_task(model.top)
+    with current_tracer().span("arrayol-validate", category="arrayol", model=model.name):
+        validate_task(model.top)
 
 
 def validate_task(task: Task) -> None:

@@ -11,7 +11,8 @@ The executor walks a :class:`~repro.ir.program.DeviceProgram` and, per op:
 
 Per-kernel cost inputs (access-stride probe + unique-byte measurement) are
 cached by kernel value, so repeated runs of the same program (the 300-frame
-experiments) only pay for them once.  ``functional=False`` replays a program
+experiments) only pay for them once; each miss is traced as one
+``cost-probe`` span.  ``functional=False`` replays a program
 for its timing alone, skipping data movement and kernel evaluation.
 """
 
@@ -104,8 +105,11 @@ class GPUExecutor:
     def kernel_cost_inputs(self, kernel: Kernel) -> _KernelCostInputs:
         cached = self._kernel_cache.get(kernel)
         if cached is None:
-            profile = probe_access_profile(kernel)
-            ur, uw = unique_access_bytes(kernel)
+            with current_tracer().span(
+                "cost-probe", category="cost", kernel=kernel.name
+            ):
+                profile = probe_access_profile(kernel)
+                ur, uw = unique_access_bytes(kernel)
             itemsizes = {np.dtype(a.dtype).itemsize for a in kernel.arrays} or {4}
             cached = _KernelCostInputs(
                 profile=profile,

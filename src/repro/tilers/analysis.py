@@ -4,7 +4,10 @@ Two families of checks:
 
 * **GILR validity** — properties ArrayOL requires of tilers used in a model:
   output tilers must write each array element at most once (injectivity) and,
-  for exact production, exactly once (coverage).
+  for exact production, exactly once (coverage).  All of them derive from
+  one distinct-element count: ``Box.count`` when the tiler's access box
+  is exact, otherwise a :func:`~repro.footprint.flat_mask` over the
+  enumerated elements.
 * **Access geometry** — linearised strides of the tiling, consumed by the
   GPU simulator's coalescing model: when consecutive work-items (repetition
   points along the fastest-varying dimension) read addresses a fixed stride
@@ -14,10 +17,13 @@ Two families of checks:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
+from repro.footprint import flat_mask
 from repro.tilers.ops import flat_element_indices
+from repro.tilers.regions import tiler_access_box
 from repro.tilers.tiler import Tiler
 
 __all__ = [
@@ -31,21 +37,32 @@ __all__ = [
 ]
 
 
-def _flat_sorted(tiler: Tiler) -> np.ndarray:
-    return np.sort(flat_element_indices(tiler).reshape(-1))
+def _distinct_element_count(tiler: Tiler) -> int:
+    """Distinct array elements the tiling addresses.
+
+    Closed form when :func:`~repro.tilers.regions.tiler_access_box` proves
+    the footprint exact (the box *is* the set); otherwise every
+    ``(rep, pat)`` point is enumerated and counted by the footprint
+    engine's mask.
+    """
+    box = tiler_access_box(tiler)
+    if box.exact:
+        return box.count
+    return int(np.count_nonzero(flat_mask(tiler.array_shape, flat_element_indices(tiler))))
+
+
+def _points(tiler: Tiler) -> int:
+    return tiler.repetition_size * tiler.pattern_size
 
 
 def duplicate_element_count(tiler: Tiler) -> int:
     """Number of (rep, pat) points that collide with an earlier one."""
-    flat = _flat_sorted(tiler)
-    return int(flat.size - np.unique(flat).size)
+    return _points(tiler) - _distinct_element_count(tiler)
 
 
 def uncovered_element_count(tiler: Tiler) -> int:
     """Number of array elements never addressed by the tiling."""
-    flat = np.unique(_flat_sorted(tiler))
-    total = int(np.prod(tiler.array_shape))
-    return total - int(flat.size)
+    return prod(tiler.array_shape) - _distinct_element_count(tiler)
 
 
 def is_injective(tiler: Tiler) -> bool:
@@ -64,9 +81,8 @@ def is_exact(tiler: Tiler) -> bool:
     This is the ArrayOL validity condition for a tiler that *produces* an
     array (every element written exactly once, honouring single assignment).
     """
-    flat = _flat_sorted(tiler)
-    total = int(np.prod(tiler.array_shape))
-    return flat.size == total and duplicate_element_count(tiler) == 0
+    distinct = _distinct_element_count(tiler)
+    return _points(tiler) == distinct == prod(tiler.array_shape)
 
 
 @dataclass(frozen=True)

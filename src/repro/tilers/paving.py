@@ -26,8 +26,12 @@ illegal re-paving can never reach the simulator.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import TilerError
-from repro.tilers.regions import tiler_access_box
+from repro.footprint import flat_mask
+from repro.tilers.ops import flat_element_indices
+from repro.tilers.regions import index_columns, tiler_access_box
 from repro.tilers.tiler import Tiler
 
 __all__ = ["coarsen_paving", "paving_equivalent"]
@@ -124,39 +128,30 @@ def coarsen_paving(tiler: Tiler, rep_dim: int, factor: int) -> Tiler:
 _DENSE_LIMIT = 1 << 24
 
 
-def _separable_axis_sets(tiler: Tiler):
-    """Per-dimension touched coordinate sets, when the footprint factors.
+def _separable_axis_masks(tiler: Tiler):
+    """Per-dimension touched-coordinate masks, when the footprint factors.
 
     The footprint of a tiler is the product of per-dimension 1-D sets
     exactly when every pattern/repetition index component contributes to
     at most one array dimension (no column of ``F`` or ``P`` couples two
-    dims).  Returns one sorted unique ``ndarray`` per dimension, or
-    ``None`` when the tiler is not separable.
+    dims).  Returns one boolean mask of length ``n`` per array dimension
+    of extent ``n``, or ``None`` when the tiler is not separable.  Each
+    mask is grown one index component at a time over residues mod ``n``,
+    so no step enumerates more than ``n`` times that component's extent.
     """
-    import numpy as np
-
-    columns = [
-        tuple(tiler.fitting[d][k] for d in range(tiler.array_rank))
-        for k in range(tiler.pattern_rank)
-    ] + [
-        tuple(tiler.paving[d][m] for d in range(tiler.array_rank))
-        for m in range(tiler.repetition_rank)
-    ]
-    for col in columns:
-        if sum(1 for c in col if c) > 1:
-            return None
-    counts = tuple(tiler.pattern_shape) + tuple(tiler.repetition_shape)
-    sets = []
+    columns = [(col, cnt) for col, cnt in index_columns(tiler) if cnt > 1]
+    if any(sum(1 for c in col if c) > 1 for col, _ in columns):
+        return None
+    masks = []
     for d, n in enumerate(tiler.array_shape):
-        values = np.asarray([tiler.origin[d]], dtype=np.int64)
-        for (col, cnt) in zip(columns, counts):
-            c = col[d]
-            if c == 0 or cnt == 1:
-                continue
-            values = (values[:, None] + c * np.arange(cnt, dtype=np.int64)).ravel()
-            values = np.unique(values)
-        sets.append(np.unique(values % n))
-    return sets
+        mask = np.zeros(n, dtype=bool)
+        mask[tiler.origin[d] % n] = True
+        for col, cnt in columns:
+            if col[d]:
+                values = np.flatnonzero(mask)
+                mask[(values[:, None] + col[d] * np.arange(cnt)) % n] = True
+        masks.append(mask)
+    return masks
 
 
 def paving_equivalent(base: Tiler, alt: Tiler) -> bool:
@@ -167,16 +162,13 @@ def paving_equivalent(base: Tiler, alt: Tiler) -> bool:
     tiler_access_box`; mutual containment of *exact* boxes is equality of
     the addressed sets.  When a wrap widened either box (the downscaler's
     input tilers wrap at the frame edge, so their boxes are inexact), the
-    footprints are compared densely — per dimension when both tilers are
-    separable (each index component moves one array dim, so the footprint
-    is a product of 1-D sets), otherwise over the full enumeration up to
-    ``_DENSE_LIMIT`` points, past which the conservative answer is
-    ``False``.
+    footprints are compared as boolean masks (:mod:`repro.footprint`) —
+    per dimension when both tilers are separable (each index component
+    moves one array dim, so the footprint is a product of 1-D sets),
+    otherwise over the full enumeration up to ``_DENSE_LIMIT`` points,
+    past which the conservative answer is ``False``.
     """
-    import numpy as np
-
     from repro.analysis.regions import box_contains
-    from repro.tilers.ops import flat_element_indices
 
     if base.array_shape != alt.array_shape:
         return False
@@ -184,11 +176,11 @@ def paving_equivalent(base: Tiler, alt: Tiler) -> bool:
     abox = tiler_access_box(alt)
     if bbox.exact and abox.exact:
         return box_contains(bbox, abox) and box_contains(abox, bbox)
-    base_sets = _separable_axis_sets(base)
-    alt_sets = _separable_axis_sets(alt)
-    if base_sets is not None and alt_sets is not None:
+    base_masks = _separable_axis_masks(base)
+    alt_masks = _separable_axis_masks(alt)
+    if base_masks is not None and alt_masks is not None:
         return all(
-            np.array_equal(b, a) for b, a in zip(base_sets, alt_sets)
+            np.array_equal(b, a) for b, a in zip(base_masks, alt_masks)
         )
     points = (
         base.repetition_size * base.pattern_size
@@ -196,8 +188,10 @@ def paving_equivalent(base: Tiler, alt: Tiler) -> bool:
     )
     if points > _DENSE_LIMIT:
         return False
-    base_set = np.unique(flat_element_indices(base))
-    alt_set = np.unique(flat_element_indices(alt))
-    return base_set.shape == alt_set.shape and bool(
-        np.array_equal(base_set, alt_set)
+    shape = base.array_shape
+    return bool(
+        np.array_equal(
+            flat_mask(shape, flat_element_indices(base)),
+            flat_mask(shape, flat_element_indices(alt)),
+        )
     )

@@ -11,7 +11,10 @@ ArrayOL route's connectors participate in disjointness proofs.
 
 A dimension that *does* wrap (the modulo folds some reference back into
 the array) covers an interval that is not a single progression; it is
-widened to the whole dimension and the box is marked inexact.
+widened to the whole dimension and the box is marked inexact.  So is a
+box whose tiler has an index component moving two dimensions at once (a
+column of ``F`` or ``P`` with two non-zero entries): the product of the
+per-dimension progressions then over-approximates a skewed footprint.
 """
 
 from __future__ import annotations
@@ -21,37 +24,44 @@ from repro.tilers.tiler import Tiler
 __all__ = ["tiler_access_box"]
 
 
+def index_columns(tiler: Tiler):
+    """``(column, count)`` per index component: each fitting column with
+    its pattern extent, then each paving column with its repetition
+    extent."""
+    rank = range(tiler.array_rank)
+    return [
+        (tuple(tiler.fitting[d][k] for d in rank), n)
+        for k, n in enumerate(tiler.pattern_shape)
+    ] + [
+        (tuple(tiler.paving[d][m] for d in rank), n)
+        for m, n in enumerate(tiler.repetition_shape)
+    ]
+
+
 def tiler_access_box(tiler: Tiler):
     """The strided box of array elements ``tiler`` touches.
 
-    Exact (``box.exact``) when every dimension's progression is complete
-    and nothing wraps; dimensions that wrap are widened to ``[0, n)`` and
-    drop exactness.  The result always *contains* every touched element,
-    so it is sound for ``may_alias``-style overlap queries; coverage
-    queries additionally require exactness, as everywhere else in
-    :mod:`repro.analysis.regions`.
+    Exact (``box.exact``) when every dimension's progression is complete,
+    no index component moves two dimensions and nothing wraps; dimensions
+    that wrap are widened to ``[0, n)`` and drop exactness.  The result
+    always *contains* every touched element, so it is sound for
+    ``may_alias``-style overlap queries; coverage queries additionally
+    require exactness, as everywhere else in :mod:`repro.analysis.regions`.
     """
     # imported here: repro.analysis.__init__ pulls in the tiler lint,
     # which imports this package — a module-level import would cycle
     from repro.analysis.regions import Box, Seg, progression_box
 
+    columns = index_columns(tiler)
+    # the box is the product of per-dimension progressions: it can only
+    # equal the footprint when no index component moves two dimensions
+    exact = all(sum(1 for c in col if c) <= 1 for col, cnt in columns if cnt > 1)
     segs: list[Seg] = []
-    exact = True
     for d, n in enumerate(tiler.array_shape):
         const = tiler.origin[d]
-        contributions = [
-            (tiler.fitting[d][k], tiler.pattern_shape[k])
-            for k in range(tiler.pattern_rank)
-        ] + [
-            (tiler.paving[d][k], tiler.repetition_shape[k])
-            for k in range(tiler.repetition_rank)
-        ]
-        raw_lo = const + sum(
-            min(0, c * (cnt - 1)) for c, cnt in contributions if cnt > 1
-        )
-        raw_hi = const + sum(
-            max(0, c * (cnt - 1)) for c, cnt in contributions if cnt > 1
-        )
+        contributions = [(col[d], cnt) for col, cnt in columns if cnt > 1]
+        raw_lo = const + sum(min(0, c * (cnt - 1)) for c, cnt in contributions)
+        raw_hi = const + sum(max(0, c * (cnt - 1)) for c, cnt in contributions)
         if raw_lo < 0 or raw_hi >= n:
             # the modulo wraps references around this dimension: the
             # touched set is a union of progressions, not one — widen

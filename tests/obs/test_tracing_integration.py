@@ -115,3 +115,50 @@ def test_stream_executor_records_span():
     (span,) = tracer.find("stream-execute:downscale_cuda")
     assert span.attrs["runs"] == 2
     assert span.attrs["overlapped_us"] > 0
+
+
+def test_cost_probe_span_on_each_cache_miss():
+    """The cost probe is its own span, opened on a miss only, so its time
+    is no longer charged to whichever execute span first priced a kernel."""
+    import uuid
+
+    from repro.gpu import GTX480_CALIBRATED, CostModel, GPUExecutor
+    from repro.ir import ArrayParam, IndexSpace, Kernel, Read, Store, ThreadIdx
+
+    kernel = Kernel(  # a name no other test uses: a guaranteed cache miss
+        name=f"probe_{uuid.uuid4().hex}",
+        space=IndexSpace((0,), (8,)),
+        arrays=(ArrayParam("a", (8,)), ArrayParam("b", (8,), intent="out")),
+        body=(Store("b", (ThreadIdx(0),), Read("a", (ThreadIdx(0),))),),
+    )
+    ex = GPUExecutor(CostModel(GTX480_CALIBRATED))
+    with Tracer() as tracer:
+        first = ex.kernel_cost_inputs(kernel)
+        assert ex.kernel_cost_inputs(kernel) is first  # hit: no second span
+    (span,) = tracer.find("cost-probe")
+    assert span.category == "cost"
+    assert span.attrs == {"kernel": kernel.name}
+    assert span.end_us >= span.start_us
+
+
+def test_arrayol_validation_records_span():
+    from repro.apps.downscaler.arrayol_model import downscaler_model
+    from repro.arrayol import validate_model
+
+    model = downscaler_model(CIF)
+    with Tracer() as tracer:
+        validate_model(model)
+    (span,) = tracer.find("arrayol-validate")
+    assert span.category == "arrayol"
+    assert span.attrs == {"model": model.name}
+
+    # in a pipeline, the ArrayOL chain validates inside the compile miss
+    tracer = Tracer()
+    FramePipeline(validate="none", tracer=tracer).run(
+        downscaler_job("gaspard", size=CIF), frames=1
+    )
+    (miss,) = [s for s in tracer.find("compile:gaspard")
+               if s.attrs.get("cache") == "miss"]
+    spans = tracer.find("arrayol-validate")
+    assert spans
+    assert all(miss.start_us <= s.start_us <= s.end_us <= miss.end_us for s in spans)

@@ -1,16 +1,25 @@
 """Property-based tests for the tiler algebra (hypothesis)."""
 
+import itertools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import TilerError
 from repro.tilers import (
     Tiler,
+    coarsen_paving,
     duplicate_element_count,
     flat_element_indices,
     gather,
+    is_exact,
+    is_injective,
+    paving_equivalent,
     scatter_into_zeros,
+    uncovered_element_count,
 )
+from repro.tilers.regions import tiler_access_box
 
 
 @st.composite
@@ -106,3 +115,102 @@ def test_wrap_mask_consistent_with_geometry(tiler):
             ref_col = (tiler.origin[1] + tiler.paving[1][1] * rep1) % cols
             expected = ref_col + (pat - 1) >= cols
             assert bool(mask[rep0, rep1]) == expected, (rep0, rep1, tiler)
+
+
+# -- property: the footprint engine equals a np.unique reference --------------
+
+
+@st.composite
+def random_tilers(draw, array_shape=None):
+    """Arbitrary small tilers: any rank, negative and coupled columns,
+    origins anywhere — most of them wrap."""
+    if array_shape is None:
+        rank = draw(st.integers(1, 2))
+        array_shape = tuple(draw(st.integers(1, 7)) for _ in range(rank))
+    rank = len(array_shape)
+    pattern = tuple(draw(st.integers(1, 4)) for _ in range(draw(st.integers(1, 2))))
+    repetition = tuple(draw(st.integers(1, 4)) for _ in range(draw(st.integers(1, 2))))
+
+    def matrix(cols, lo, hi):
+        return tuple(
+            tuple(draw(st.integers(lo, hi)) for _ in range(cols)) for _ in range(rank)
+        )
+
+    return Tiler(
+        origin=tuple(draw(st.integers(-3, 9)) for _ in range(rank)),
+        fitting=matrix(len(pattern), -2, 2),
+        paving=matrix(len(repetition), -3, 4),
+        array_shape=array_shape,
+        pattern_shape=pattern,
+        repetition_shape=repetition,
+    )
+
+
+def _reference_counts(tiler):
+    """(duplicates, uncovered) by sorting — the definition."""
+    flat = flat_element_indices(tiler).reshape(-1)
+    distinct = np.unique(flat).size
+    return flat.size - distinct, int(np.prod(tiler.array_shape)) - distinct
+
+
+def _check_counts(tiler):
+    dups, uncovered = _reference_counts(tiler)
+    assert duplicate_element_count(tiler) == dups
+    assert uncovered_element_count(tiler) == uncovered
+    assert is_injective(tiler) == (dups == 0)
+    assert is_exact(tiler) == (dups == 0 and uncovered == 0)
+
+
+@given(block_tilers())
+@settings(max_examples=60)
+def test_exact_box_counts_in_closed_form(tiler):
+    box = tiler_access_box(tiler)
+    assert box.exact  # the count is box.count, nothing is enumerated
+    touched = set(map(int, np.unique(flat_element_indices(tiler))))
+    boxed = {
+        int(np.ravel_multi_index(point, tiler.array_shape))
+        for point in itertools.product(*(range(s.lo, s.hi + 1, s.step) for s in box.segs))
+    }
+    assert touched == boxed
+    _check_counts(tiler)
+
+
+@given(row_packet_tilers())
+@settings(max_examples=60)
+def test_row_packet_counts_like_np_unique(tiler):
+    _check_counts(tiler)
+
+
+@given(random_tilers())
+@settings(max_examples=200)
+def test_any_tiler_counts_like_np_unique(tiler):
+    box = tiler_access_box(tiler)
+    if box.exact:
+        # the oracle's promise: the exact box *is* the addressed set
+        assert box.count == np.unique(flat_element_indices(tiler)).size
+    _check_counts(tiler)
+
+
+@st.composite
+def tiler_pairs(draw):
+    """Two tilers over one array: a random pair, or a tiler and one of
+    its legal coarsenings (equivalent by construction)."""
+    base = draw(st.one_of(random_tilers(), row_packet_tilers(), block_tilers()))
+    if draw(st.booleans()):
+        return base, draw(random_tilers(array_shape=base.array_shape))
+    dim = draw(st.integers(0, base.repetition_rank - 1))
+    factor = draw(st.integers(1, 4))
+    try:
+        return base, coarsen_paving(base, dim, factor)
+    except TilerError:
+        return base, base
+
+
+@given(tiler_pairs())
+@settings(max_examples=200)
+def test_paving_equivalent_matches_np_unique(pair):
+    base, alt = pair
+    same = np.array_equal(
+        np.unique(flat_element_indices(base)), np.unique(flat_element_indices(alt))
+    )
+    assert paving_equivalent(base, alt) == same
