@@ -21,7 +21,7 @@ from repro.apps.downscaler.sac_sources import NONGENERIC, downscaler_program_sou
 from repro.apps.downscaler.video import channels_of, synthetic_frame
 from repro.errors import ReproError
 from repro.ir.program import DeviceProgram
-from repro.runtime.cache import CompileCache
+from repro.runtime.cache import CompileCache, gaspard_chain_key
 from repro.runtime.pipeline import PipelineJob
 
 __all__ = ["SacDownscalerJob", "GaspardDownscalerJob", "downscaler_job"]
@@ -128,13 +128,25 @@ class GaspardDownscalerJob(_DownscalerJobBase):
         self.name = "gaspard" if opt is None else "gaspard+opt"
         if paving != 1:
             self.name += f"@x{paving}"
+        #: ``(inputs, model, allocation, key)`` of the last compile
+        self._compile_inputs: tuple | None = None
 
     def compile(self, cache: CompileCache) -> DeviceProgram:
+        # the pipeline and the broker compile once per frame or batch: a
+        # cache hit must not rebuild and re-canonicalise the model (~4 ms
+        # at CIF, more than the frame's evaluation), so the model and its
+        # key are kept until a compile input changes
+        inputs = (self.size, self.paving, self.opt, self.transfers)
+        if self._compile_inputs is None or self._compile_inputs[0] != inputs:
+            model = downscaler_model(self.size, paving=self.paving)
+            allocation = downscaler_allocation()
+            key = gaspard_chain_key(
+                model, allocation, opt=self.opt, transfers=self.transfers
+            )
+            self._compile_inputs = (inputs, model, allocation, key)
+        _, model, allocation, key = self._compile_inputs
         ctx, _chain = cache.compile_gaspard(
-            downscaler_model(self.size, paving=self.paving),
-            downscaler_allocation(),
-            opt=self.opt,
-            transfers=self.transfers,
+            model, allocation, opt=self.opt, transfers=self.transfers, key=key
         )
         return ctx.program
 

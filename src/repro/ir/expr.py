@@ -50,25 +50,25 @@ _ALL_BINOPS = BINARY_OPS | COMPARISON_OPS | LOGICAL_OPS
 
 
 def c_div(a, b):
-    """C integer division (truncation towards zero), elementwise."""
+    """C integer division (truncation towards zero), elementwise.
+
+    ``a - fmod(a, b)`` is an exact multiple of ``b``, so the floor
+    division of it is exact.  A zero divisor is undefined in C; its lane
+    (evaluated eagerly under a masked ``Select``) comes out 0.
+    """
     a = np.asarray(a)
     b = np.asarray(b)
-    if np.issubdtype(a.dtype, np.floating) or np.issubdtype(b.dtype, np.floating):
+    if a.dtype.kind == "f" or b.dtype.kind == "f":
         return a / b
-    q = a // b
-    r = a - q * b
-    # floor division rounded towards -inf; fix up where signs differ
-    fix = (r != 0) & ((a < 0) != (b < 0))
-    return q + fix
+    return (a - np.fmod(a, b)) // b
 
 
 def c_mod(a, b):
-    """C remainder (sign of the dividend), elementwise."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if np.issubdtype(a.dtype, np.floating) or np.issubdtype(b.dtype, np.floating):
-        return np.fmod(a, b)
-    return a - c_div(a, b) * b
+    """C remainder (sign of the dividend), elementwise: ``fmod``.
+
+    A zero divisor's lane comes out 0, as in :func:`c_div`.
+    """
+    return np.fmod(np.asarray(a), np.asarray(b))
 
 
 class Expr:

@@ -73,18 +73,19 @@ class IndexSpace:
     def is_empty(self) -> bool:
         return self.size == 0
 
-    def index_values(self) -> list[np.ndarray]:
+    def index_values(self, sparse: bool = False) -> list[np.ndarray]:
         """Per-dimension logical index values, broadcast over the grid.
 
         Returns ``rank`` arrays of shape :attr:`extent`; element ``[p]`` of
-        array ``d`` is the value of ``iv[d]`` at grid point ``p``.
+        array ``d`` is the value of ``iv[d]`` at grid point ``p``.  With
+        ``sparse`` array ``d`` has extent 1 along every other dimension
+        (broadcasting gives the full grid).
         """
         axes = [
             np.arange(lo, hi, st, dtype=np.int64)
             for lo, hi, st in zip(self.lower, self.upper, self.step)
         ]
-        grids = np.meshgrid(*axes, indexing="ij", sparse=False)
-        return list(grids)
+        return list(np.meshgrid(*axes, indexing="ij", sparse=sparse))
 
     def contains(self, point) -> bool:
         """Whether an integer point is enumerated by this space."""
@@ -164,6 +165,15 @@ class Kernel:
         names = [a.name for a in self.arrays] + [s.name for s in self.scalars]
         if len(set(names)) != len(names):
             raise IRError(f"kernel {self.name!r} has duplicate parameter names: {names}")
+
+    def __hash__(self) -> int:
+        # the body is a deep expression tree and kernels key process-wide
+        # caches on every launch: hash it once
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.name, self.space, self.arrays, self.scalars, self.body))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     # -- lookups -----------------------------------------------------------
 

@@ -36,6 +36,7 @@ __all__ = [
     "canonical",
     "sac_key",
     "gaspard_key",
+    "gaspard_chain_key",
     "tune_eval_key",
     "tune_record_key",
 ]
@@ -126,6 +127,20 @@ def gaspard_key(
             canonical(opt),
             canonical(transfers),
         ),
+    )
+
+
+def gaspard_chain_key(
+    model, allocation, lint: bool = False, opt=None, transfers: str = "boundary"
+) -> tuple:
+    """The :func:`gaspard_key` of one :meth:`CompileCache.compile_gaspard`
+    call: the chain's pass names are those of its standard chain."""
+    from repro.arrayol.transform import standard_chain
+
+    chain = standard_chain(lint=lint, opt=opt, transfers=transfers)
+    return gaspard_key(
+        model, allocation, (p.name for p in chain.passes), lint,
+        opt=opt, transfers=transfers,
     )
 
 
@@ -273,22 +288,25 @@ class CompileCache:
 
     def compile_gaspard(
         self, model, allocation, lint: bool = False, opt=None,
-        transfers: str = "boundary",
+        transfers: str = "boundary", key: tuple | None = None,
     ):
         """Run the Gaspard2 chain through the cache.
 
         Returns ``(ctx, chain)`` — the transformed
         :class:`~repro.arrayol.transform.GaspardContext` and the chain that
-        produced it (for its trace).
+        produced it (for its trace).  ``key`` is the
+        :func:`gaspard_chain_key` of exactly these arguments, for a caller
+        that already holds it: canonicalising a model costs milliseconds,
+        a lookup by a held key microseconds.
         """
         from repro.arrayol.transform import GaspardContext, standard_chain
         from repro.ir.validate import validate_program
 
         chain_probe = standard_chain(lint=lint, opt=opt, transfers=transfers)
-        key = gaspard_key(
-            model, allocation, (p.name for p in chain_probe.passes), lint,
-            opt=opt, transfers=transfers,
-        )
+        if key is None:
+            key = gaspard_chain_key(
+                model, allocation, lint=lint, opt=opt, transfers=transfers
+            )
 
         def build():
             ctx = GaspardContext(model=model, allocation=allocation)

@@ -1,10 +1,12 @@
-"""Frame-synthesis memoisation in the downscaler pipeline jobs.
+"""Frame-synthesis and compile-key memoisation in the downscaler pipeline jobs.
 
 ``env()`` and ``golden()`` are called independently per (frame, instance);
 before memoisation every call re-synthesised and re-split the frame, so a
 three-channel SaC frame paid for six syntheses.  The jobs now memoise per
 frame behind a small LRU: exactly one synthesis per distinct frame, an
 LRU bound on memory, and frozen arrays so a mutating consumer faults.
+The Gaspard job also keeps its model and content key between compiles,
+so a compile-cache hit does not re-canonicalise the model.
 """
 
 from __future__ import annotations
@@ -13,8 +15,13 @@ import numpy as np
 import pytest
 
 from repro.apps.downscaler import serving
+from repro.apps.downscaler.arrayol_model import downscaler_allocation, downscaler_model
 from repro.apps.downscaler.config import FrameSize
 from repro.apps.downscaler.serving import GaspardDownscalerJob, SacDownscalerJob
+from repro.opt import OptOptions
+from repro.runtime import CompileCache
+from repro.runtime import cache as cache_mod
+from repro.runtime.cache import gaspard_chain_key
 from repro.runtime.pipeline import FramePipeline
 
 TINY = FrameSize(18, 16, "tiny")
@@ -72,3 +79,36 @@ def test_memoised_arrays_are_frozen():
         golden["out_r"][0, 0] = 99
     # the cache still serves intact values afterwards
     assert np.array_equal(env["in_r"], job.env(0, 0)["in_r"])
+
+
+def test_gaspard_job_canonicalises_its_model_once(monkeypatch):
+    calls = [0]
+    real = cache_mod.canonical
+
+    def counting(value):
+        calls[0] += 1
+        return real(value)
+
+    monkeypatch.setattr(cache_mod, "canonical", counting)
+    job, cache = GaspardDownscalerJob(TINY), CompileCache()
+    first = job.compile(cache)
+    after_first = calls[0]
+    assert after_first > 0
+    assert job.compile(cache) is first
+    assert job.compile(CompileCache()) is not first  # another cache misses
+    assert calls[0] == after_first
+    assert (cache.stats.hits, cache.stats.misses) == (1, 1)
+    # the held key is the content key of a freshly built model
+    assert gaspard_chain_key(downscaler_model(TINY), downscaler_allocation()) in cache
+
+
+def test_gaspard_job_rekeys_when_a_compile_input_changes():
+    job, cache = GaspardDownscalerJob(TINY), CompileCache()
+    plain = job.compile(cache)
+    job.opt = OptOptions()
+    optimised = job.compile(cache)
+    assert optimised is not plain
+    assert (cache.stats.hits, cache.stats.misses) == (0, 2)
+    assert gaspard_chain_key(
+        downscaler_model(TINY), downscaler_allocation(), opt=OptOptions()
+    ) in cache

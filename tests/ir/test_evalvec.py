@@ -257,3 +257,144 @@ class TestErrors:
         dst = np.zeros(8, dtype=np.int32)
         evaluate_kernel(k, {"dst": dst})
         assert (dst == 0).all()
+
+
+class TestLaunchPlans:
+    """The first launch plans a kernel's accesses; later launches reuse the
+    plan.  Checks must still fire on every launch that needs them."""
+
+    @staticmethod
+    def _gather(index_dtype="int32"):
+        # dst[i] = src[lut[i]]: the gather index depends on data
+        return make_kernel(
+            body=[
+                Store("dst", (ThreadIdx(0),), Read("src", (Read("lut", (ThreadIdx(0),)),)))
+            ],
+            arrays=[
+                ArrayParam("src", (8,), intent="in"),
+                ArrayParam("lut", (4,), dtype=index_dtype, intent="in"),
+                ArrayParam("dst", (4,), intent="out"),
+            ],
+            space=IndexSpace((0,), (4,)),
+        )
+
+    def test_data_dependent_index_checked_on_plan_hit(self):
+        k = self._gather()
+        src = np.arange(10, 18, dtype=np.int32)
+        dst = np.zeros(4, np.int32)
+        evaluate_kernel(k, {"src": src, "lut": np.array([7, 0, 3, 3], np.int32), "dst": dst})
+        np.testing.assert_array_equal(dst, [17, 10, 13, 13])
+        bad = {"src": src, "lut": np.array([1, 8, 0, 0], np.int32), "dst": dst}
+        with pytest.raises(KernelEvaluationError, match="out of bounds"):
+            evaluate_kernel(k, bad)
+        bad["lut"] = np.array([1, -1, 0, 0], np.int32)
+        with pytest.raises(KernelEvaluationError, match="out of bounds"):
+            evaluate_kernel(k, bad)
+        # a float buffer bound on a plan hit: the index is not integral
+        bad["lut"] = np.array([1.0, 2.0, 0.0, 0.0])
+        with pytest.raises(KernelEvaluationError, match="not integral"):
+            evaluate_kernel(k, bad)
+
+    def test_non_integral_data_index_on_first_launch(self):
+        k = self._gather(index_dtype="float64")
+        with pytest.raises(KernelEvaluationError, match="not integral"):
+            evaluate_kernel(k, {
+                "src": np.zeros(8, np.int32), "lut": np.zeros(4), "dst": np.zeros(4, np.int32),
+            })
+
+    @pytest.mark.parametrize(
+        "index,match",
+        [
+            (BinOp("+", ThreadIdx(0), Const(5)), "out of bounds"),
+            (BinOp("-", ThreadIdx(0), Const(1)), "out of bounds"),
+            (BinOp("*", ThreadIdx(0), Const(1.5)), "not integral"),
+        ],
+    )
+    def test_static_index_error_on_every_launch(self, index, match):
+        k = make_kernel(
+            body=[Store("dst", (ThreadIdx(0),), Read("src", (index,)))],
+            arrays=[
+                ArrayParam("src", (8,), intent="in"),
+                ArrayParam("dst", (8,), intent="out"),
+            ],
+            space=IndexSpace((0,), (8,)),
+        )
+        for _ in range(2):  # a failed plan is not kept
+            dst = np.zeros(8, np.int32)
+            with pytest.raises(KernelEvaluationError, match=match):
+                evaluate_kernel(k, {"src": np.zeros(8, np.int32), "dst": dst})
+            assert not dst.any()
+
+    def test_equal_scalars_of_another_type_plan_apart(self):
+        """1 == 1.0, but only the int can index: a plan made for ``s=1``
+        must not serve ``s=1.0``."""
+        k = make_kernel(
+            body=[
+                Store(
+                    "dst",
+                    (ThreadIdx(0),),
+                    Read("src", (BinOp("+", ThreadIdx(0), ParamRef("s")),)),
+                )
+            ],
+            arrays=[
+                ArrayParam("src", (8,), intent="in"),
+                ArrayParam("dst", (4,), intent="out"),
+            ],
+            space=IndexSpace((0,), (4,)),
+            scalars=[ScalarParam("s")],
+        )
+        bufs = {"src": np.arange(8, dtype=np.int32), "dst": np.zeros(4, np.int32)}
+        with pytest.raises(KernelEvaluationError, match="not integral"):
+            evaluate_kernel(k, bufs, scalars={"s": 1.0})
+        evaluate_kernel(k, bufs, scalars={"s": 1})
+        np.testing.assert_array_equal(bufs["dst"], [1, 2, 3, 4])
+        with pytest.raises(KernelEvaluationError, match="not integral"):
+            evaluate_kernel(k, bufs, scalars={"s": 1.0})
+
+    def test_planned_read_is_not_a_view(self):
+        """A read of a buffer the kernel later stores to keeps its value."""
+        k = make_kernel(
+            body=[
+                Assign("old", Read("a", (ThreadIdx(0),))),
+                Store("a", (ThreadIdx(0),), Const(0)),
+                Store("b", (ThreadIdx(0),), LocalRef("old")),
+            ],
+            arrays=[
+                ArrayParam("a", (4,), dtype="int64", intent="inout"),
+                ArrayParam("b", (4,), dtype="int64", intent="out"),
+            ],
+            space=IndexSpace((0,), (4,)),
+        )
+        for start in (1, 5):
+            a = np.arange(start, start + 4, dtype=np.int64)
+            b = np.zeros(4, np.int64)
+            evaluate_kernel(k, {"a": a, "b": b})
+            np.testing.assert_array_equal(b, np.arange(start, start + 4))
+            assert not a.any()
+
+    def test_observer_sees_full_extent_indices(self):
+        k = make_kernel(
+            body=[
+                Store(
+                    "dst",
+                    (ThreadIdx(0), ThreadIdx(1)),
+                    Read("src", (Const(1), BinOp("%", ThreadIdx(1), Const(8)))),
+                )
+            ],
+            arrays=[
+                ArrayParam("src", (4, 8), intent="in"),
+                ArrayParam("dst", (4, 8), intent="out"),
+            ],
+        )
+        seen = []
+        bufs = {"src": np.zeros((4, 8), np.int32), "dst": np.zeros((4, 8), np.int32)}
+        for _ in range(2):  # planning launch and plan hit alike
+            seen.clear()
+            evaluate_kernel(k, bufs, observer=lambda *a: seen.append(a))
+            # a store's index is observed before its value is evaluated
+            (kind_s, arr_s, (i, j)), (kind_r, arr_r, (row, col)) = seen
+            assert (kind_s, arr_s, kind_r, arr_r) == ("store", "dst", "read", "src")
+            assert row.shape == () and int(row) == 1
+            assert col.shape == i.shape == j.shape == (4, 8)
+            np.testing.assert_array_equal(col, np.broadcast_to(np.arange(8), (4, 8)))
+            np.testing.assert_array_equal(i, np.broadcast_to(np.arange(4)[:, None], (4, 8)))

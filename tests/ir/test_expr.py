@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import IRError
 from repro.ir import BinOp, Const, Read, Select, ThreadIdx, UnOp, c_div, c_mod
@@ -43,6 +45,49 @@ class TestCArithmetic:
         out = c_div(tmp, 6) - c_mod(tmp, 6)
         expected = tmp // 6 - tmp % 6  # positive operands: same as Python
         np.testing.assert_array_equal(out, expected)
+
+
+    @pytest.mark.parametrize(
+        "a,q,r", [(-5, 0, 0), (5, 0, 0), (0, 0, 0)]
+    )
+    def test_zero_divisor_lane_is_zero(self, a, q, r):
+        """Division by zero is undefined in C; a masked-out ``Select`` lane
+        still computes it eagerly and discards it.  Its value is pinned."""
+        with np.errstate(divide="ignore"):
+            assert int(c_div(np.int64(a), np.int64(0))) == q
+            assert int(c_mod(np.int64(a), np.int64(0))) == r
+            lanes = c_div(np.array([-5, 7], np.int32), np.array([0, 2], np.int64))
+        np.testing.assert_array_equal(lanes, [0, 3])
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-(2**31), 2**31 - 1),
+                st.integers(-(2**31), 2**31 - 1).filter(bool),
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+        st.sampled_from(["int32", "int64"]),
+        st.sampled_from(["int32", "int64"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_python_truncating_division(self, pairs, a_dtype, b_dtype):
+        a = np.array([p[0] for p in pairs], dtype=a_dtype)
+        b = np.array([p[1] for p in pairs], dtype=b_dtype)
+        want_q, want_r = [], []
+        for x, y in zip(a.tolist(), b.tolist()):
+            q = abs(x) // abs(y)
+            q = q if (x >= 0) == (y >= 0) else -q
+            want_q.append(q)
+            want_r.append(x - q * y)
+        q, r = c_div(a, b), c_mod(a, b)
+        assert q.dtype == r.dtype == np.result_type(a, b)
+        # INT32_MIN / -1 overflows int32 (undefined in C): compare mod 2**32
+        if q.dtype == np.int32:
+            want_q = [((v + 2**31) % 2**32) - 2**31 for v in want_q]
+        assert q.tolist() == want_q
+        assert r.tolist() == want_r
 
 
 class TestNodeValidation:

@@ -98,6 +98,19 @@ class TestKernel:
                 scalars=(ScalarParam("a"),),
             )
 
+    def test_hash_is_the_value_hash(self):
+        """The hash is computed once but stays a hash of the value:
+        provenance is ignored and a replaced field gives a new one."""
+        import dataclasses
+
+        k = copy_kernel()
+        assert hash(k) == hash(k)
+        again = dataclasses.replace(copy_kernel(), provenance="elsewhere")
+        assert again == k and hash(again) == hash(k)
+        renamed = dataclasses.replace(k, name="other")
+        assert renamed != k and hash(renamed) != hash(k)
+        assert hash(dataclasses.replace(renamed, name=k.name)) == hash(k)
+
     def test_array_lookup(self):
         k = copy_kernel()
         assert k.array("src").intent == "in"

@@ -390,3 +390,48 @@ def test_exact_boxes_are_the_access_sets(kernel):
 @settings(max_examples=150, deadline=None)
 def test_any_kernel_counts_like_np_unique(kernel):
     assert unique_access_bytes(kernel) == _reference_unique_bytes(kernel)
+
+
+#: (read strides, write strides, (unique bytes read, written)) of every
+#: downscaler CIF kernel, recorded with the single-phase evaluator the
+#: launch plans replaced; the cost model's inputs must not move
+_CIF_PROBES = {
+    ("sac", "downscale__output_13_k0"): ((8,) * 6, (3,), (304128, 50688)),
+    ("sac", "downscale__output_13_k1"): ((8,) * 6, (3,), (297216, 49536)),
+    ("sac", "downscale__output_13_k2"): ((0,) * 6, (0,), (6912, 1152)),
+    ("sac", "downscale__output_13_k3"): ((8,) * 6, (3,), (297216, 49536)),
+    ("sac", "downscale__output_13_k4"): ((0,) * 6, (0,), (6912, 1152)),
+    ("sac", "downscale__output_26_k5"): ((1,) * 6, (1,), (101376, 16896)),
+    ("sac", "downscale__output_26_k6"): ((1,) * 6, (1,), (98208, 16368)),
+    ("sac", "downscale__output_26_k7"): ((1,) * 6, (1,), (3168, 528)),
+    ("sac", "downscale__output_26_k8"): ((1,) * 6, (1,), (98208, 16368)),
+    ("sac", "downscale__output_26_k9"): ((1,) * 6, (1,), (3168, 528)),
+    ("sac", "downscale__output_26_k10"): ((1,) * 6, (1,), (98208, 16368)),
+    ("sac", "downscale__output_26_k11"): ((1,) * 6, (1,), (3168, 528)),
+    ("gaspard", "hf_bhf"): ((8,) * 18, (3,) * 3, (405504, 152064)),
+    ("gaspard", "hf_ghf"): ((8,) * 18, (3,) * 3, (405504, 152064)),
+    ("gaspard", "hf_rhf"): ((8,) * 18, (3,) * 3, (405504, 152064)),
+    ("gaspard", "vf_bvf"): ((1,) * 24, (1,) * 4, (152064, 67584)),
+    ("gaspard", "vf_gvf"): ((1,) * 24, (1,) * 4, (152064, 67584)),
+    ("gaspard", "vf_rvf"): ((1,) * 24, (1,) * 4, (152064, 67584)),
+}
+
+
+@pytest.mark.parametrize("route", ["sac", "gaspard"])
+def test_downscaler_cif_probes_unchanged(route):
+    from repro.apps.downscaler.config import CIF
+    from repro.apps.downscaler.serving import downscaler_job
+    from repro.ir.program import LaunchKernel
+    from repro.runtime.cache import CompileCache
+
+    program = downscaler_job(route, size=CIF).compile(CompileCache())
+    got = {}
+    for op in program.ops:
+        if isinstance(op, LaunchKernel):
+            profile = probe_access_profile(op.kernel)
+            got[(route, op.kernel.name)] = (
+                profile.read_strides,
+                profile.write_strides,
+                unique_access_bytes(op.kernel),
+            )
+    assert got == {key: v for key, v in _CIF_PROBES.items() if key[0] == route}

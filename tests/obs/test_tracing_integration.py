@@ -141,6 +141,61 @@ def test_cost_probe_span_on_each_cache_miss():
     assert span.end_us >= span.start_us
 
 
+def test_launch_plan_span_on_each_plan_miss():
+    """Planning a kernel's accesses is its own span, opened once per
+    (kernel, space, scalars); a relaunch reuses the plan without one."""
+    import numpy as np
+
+    from repro.ir import (
+        ArrayParam, BinOp, IndexSpace, Kernel, ParamRef, Read, ScalarParam, Store,
+        ThreadIdx, evaluate_kernel,
+    )
+
+    kernel = Kernel(
+        name="plan_span",
+        space=IndexSpace((0,), (4,)),
+        arrays=(ArrayParam("a", (8,)), ArrayParam("b", (4,), intent="out")),
+        scalars=(ScalarParam("s"),),
+        body=(
+            Store("b", (ThreadIdx(0),), Read("a", (BinOp("+", ThreadIdx(0), ParamRef("s")),))),
+        ),
+    )
+    bufs = {"a": np.arange(8, dtype=np.int32), "b": np.zeros(4, np.int32)}
+    with Tracer() as tracer:
+        for s in (0, 0, 3, 0, 3):
+            evaluate_kernel(kernel, bufs, {"s": s})
+            np.testing.assert_array_equal(bufs["b"], np.arange(s, s + 4))
+    spans = tracer.find("launch-plan")
+    assert len(spans) == 2  # one per scalar binding
+    for span in spans:
+        assert span.category == "ir"
+        assert span.attrs == {"kernel": "plan_span"}
+        assert span.end_us >= span.start_us
+
+
+def test_equal_kernels_share_a_launch_plan():
+    """Plans are keyed by the kernel's value: a recompiled, equal kernel is
+    a new object but reuses the plan without a new span."""
+    import numpy as np
+
+    from repro.ir import ArrayParam, IndexSpace, Kernel, Read, Store, ThreadIdx, evaluate_kernel
+
+    def compile_kernel():
+        return Kernel(
+            name="plan_shared",
+            space=IndexSpace((0,), (4,)),
+            arrays=(ArrayParam("a", (4,)), ArrayParam("b", (4,), intent="out")),
+            body=(Store("b", (ThreadIdx(0),), Read("a", (ThreadIdx(0),))),),
+        )
+
+    with Tracer() as tracer:
+        for start in (0, 5):
+            bufs = {"a": np.arange(start, start + 4, dtype=np.int32), "b": np.zeros(4, np.int32)}
+            evaluate_kernel(compile_kernel(), bufs)
+            np.testing.assert_array_equal(bufs["b"], np.arange(start, start + 4))
+    assert len(tracer.find("launch-plan")) == 1
+
+
 def test_arrayol_validation_records_span():
     from repro.apps.downscaler.arrayol_model import downscaler_model
     from repro.arrayol import validate_model

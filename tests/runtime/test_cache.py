@@ -8,6 +8,7 @@ import pytest
 from repro.apps.downscaler import CIF, HD
 from repro.apps.downscaler.arrayol_model import downscaler_allocation, downscaler_model
 from repro.runtime import CompileCache, canonical, gaspard_key, sac_key
+from repro.runtime.cache import gaspard_chain_key
 from repro.sac.backend import CompileOptions
 
 SRC = (
@@ -96,6 +97,18 @@ def test_gaspard_hit_on_repeat():
     assert (cache.stats.hits, cache.stats.misses) == (1, 1)
     assert ctx1.program.launch_count > 0
     assert chain1.trace  # the producing chain rides along for its trace
+
+
+def test_gaspard_chain_key_is_the_key_compile_gaspard_stores():
+    cache = CompileCache()
+    model, alloc = downscaler_model(CIF), downscaler_allocation()
+    cache.compile_gaspard(model, alloc, transfers="per_kernel")
+    assert gaspard_chain_key(model, alloc, transfers="per_kernel") in cache
+    assert gaspard_chain_key(model, alloc) not in cache
+    # a held key looks the same entry up
+    key = gaspard_chain_key(model, alloc, transfers="per_kernel")
+    cache.compile_gaspard(model, alloc, transfers="per_kernel", key=key)
+    assert (cache.stats.hits, cache.stats.misses, len(cache)) == (1, 1, 1)
 
 
 def test_invalidate_and_clear():
